@@ -12,7 +12,7 @@ node kill at ~40% progress.  The bar is absolute, not statistical:
   lost across the failover.
 * **zero misdeliveries** — interleaved single-``send`` echo probes
   must land on the node and local line the shard map predicted, on
-  top of the fabric's own sampled boundary verification.
+  top of the plane's own verification of every routed frame.
 
 The harness is :func:`repro.cluster.run_soak` — the same code path as
 ``repro cluster --smoke`` — so the CI smoke and this soak differ only

@@ -42,14 +42,18 @@ __all__ = ["main", "build_parser"]
 
 def _backend_choices() -> List[str]:
     """Registered backend names plus ``auto`` — the single source the
-    ``route --backend`` / ``serve --engine`` choices derive from, so the
-    argparse surface can never drift from the backend registry."""
+    ``route --backend`` choices derive from, so the argparse surface can
+    never drift from the backend registry."""
     from .backends import backend_names
 
     return backend_names() + ["auto"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every subcommand's --engine choices are the engines GatewayConfig
+    # accepts, so no flag can drift from the gateway.
+    from .server import engine_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="BNB self-routing permutation network (Lee & Lu, ICDCS 1991)",
@@ -179,22 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine",
-        choices=("object", "vector", "batch") + tuple(_backend_choices()),
+        choices=engine_names(),
         default="object",
-        help="plane dataplane engine: reference object model, the "
-        "compiled vectorized numpy pipeline, the frame-axis batch "
-        "plane (routes whole windows of frames per gather; pairs with "
-        "the binary wire framing's send_batch), 'auto' to calibrate "
-        "the backend arena at boot and serve the measured-fastest "
-        "registered backend, or a backend name to pin one",
-    )
-    serve.add_argument(
-        "--pool-workers",
-        type=int,
-        default=0,
-        metavar="W",
-        help="shard W vector planes across W worker processes with "
-        "shared-memory frame buffers (overrides --planes/--engine)",
+        help="plane dataplane engine: the reference object model or the "
+        "compiled BNB dataplane on the pipeline's one-frame-per-cycle "
+        "timing (object, vector), the compiled BNB dataplane routing "
+        "whole windows of frames per call (batch; pairs with the binary "
+        "wire framing's send_batch), 'auto' to calibrate the backend "
+        "arena at boot and serve the measured-fastest registered "
+        "backend, or a backend name to pin one",
     )
     serve.add_argument(
         "--demo",
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument(
         "--engine",
-        choices=("object", "vector", "batch") + tuple(_backend_choices()),
+        choices=engine_names(),
         default="vector",
         help="plane engine for the in-process gateway",
     )
@@ -374,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--engine",
-        choices=("object", "vector", "batch"),
+        choices=engine_names(),
         default="batch",
         help="plane engine for every node",
     )
@@ -446,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--engine",
-        choices=("object", "vector", "batch") + tuple(_backend_choices()),
+        choices=engine_names(),
         default="object",
         help="plane engine for one-shot mode ('auto' or a registered "
         "backend name serves the arena path; see docs/backends.md)",
@@ -840,19 +837,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     from .server import AsyncGateway, GatewayConfig, GatewayServer
 
-    pool = None
-    plane_factory = None
-    planes = args.planes
-    engine = args.engine
-    if args.pool_workers:
-        from .server import ProcessPlanePool
-
-        # A multi-process pool shards one vector plane per worker core;
-        # the in-process engine flag is moot for the pooled planes.
-        pool = ProcessPlanePool(m, workers=args.pool_workers)
-        plane_factory = pool.plane_factory
-        planes = args.pool_workers
-        engine = "object"  # config engine unused under an explicit factory
     tenants = None
     if args.tenants:
         from .traffic import parse_tenant_spec
@@ -860,10 +844,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         tenants = parse_tenant_spec(args.tenants)
     config = GatewayConfig(
         m=m,
-        planes=planes,
+        planes=args.planes,
         queue_capacity=args.capacity,
         resilient=args.resilient,
-        engine=engine,
+        engine=args.engine,
         node_id=args.node_id,
         tenants=tenants,
         starvation_cycles=args.starvation_cycles,
@@ -883,7 +867,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     async def _demo(words: int) -> dict:
         rng = random.Random(args.seed)
-        async with AsyncGateway(config, plane_factory=plane_factory) as gateway:
+        async with AsyncGateway(config) as gateway:
             instrumentation = _instrument(gateway)
             receipts = await asyncio.gather(
                 *(
@@ -904,7 +888,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             return gateway.stats()
 
     async def _serve() -> None:
-        async with AsyncGateway(config, plane_factory=plane_factory) as gateway:
+        async with AsyncGateway(config) as gateway:
             instrumentation = _instrument(gateway)
             async with GatewayServer(
                 gateway,
@@ -912,11 +896,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 instrumentation=instrumentation,
             ) as server:
-                pool_note = (
-                    f", {args.pool_workers} worker process(es)"
-                    if pool is not None
-                    else f", engine {config.engine}"
-                )
                 metrics_note = ", metrics on" if instrumentation else ""
                 stop_note = (
                     f"{args.duration:g}s run"
@@ -925,9 +904,9 @@ def _command_serve(args: argparse.Namespace) -> int:
                 )
                 print(
                     f"serving N={args.n} on {args.host}:{server.port} "
-                    f"({planes} plane(s), capacity {args.capacity}"
+                    f"({args.planes} plane(s), capacity {args.capacity}"
                     f"{', resilient' if args.resilient else ''}"
-                    f"{pool_note}{metrics_note}) — {stop_note}"
+                    f", engine {config.engine}{metrics_note}) — {stop_note}"
                 )
                 sys.stdout.flush()
                 if args.duration is None:
@@ -979,20 +958,16 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"{len(traces['records'])} retained"
             )
 
-    try:
-        if args.demo is not None:
-            snapshot = asyncio.run(_demo(args.demo))
-            _print_snapshot(snapshot, as_json=args.json)
-            return 0
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            print("\ninterrupted — gateway drained and closed", file=sys.stderr)
-            return 130
+    if args.demo is not None:
+        snapshot = asyncio.run(_demo(args.demo))
+        _print_snapshot(snapshot, as_json=args.json)
         return 0
-    finally:
-        if pool is not None:
-            pool.close()
+    try:
+        asyncio.run(_serve())
+    except KeyboardInterrupt:
+        print("\ninterrupted — gateway drained and closed", file=sys.stderr)
+        return 130
+    return 0
 
 
 def _command_cluster(args: argparse.Namespace) -> int:

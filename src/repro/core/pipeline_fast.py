@@ -115,8 +115,8 @@ def route_frame_batch(
     (:func:`~repro.core.plan.batch_stage_take_indices`), so the
     per-frame Python overhead of the single-shot path amortizes across
     the batch — this is the kernel behind the gateway's batched wire
-    protocol (``send_batch`` riding a
-    :class:`~repro.server.planes.BatchVectorPlane`).  Row-for-row
+    protocol (``send_batch`` riding a ``batch``-engine
+    :class:`~repro.server.planes.BackendPlane`).  Row-for-row
     identical to :func:`route_frame_sources` on each frame alone, with
     or without a :class:`~repro.core.plan.FaultMask` (the mask
     broadcasts: the same physical fault afflicts every frame).

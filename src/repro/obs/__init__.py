@@ -7,8 +7,8 @@ Dependency-free observability (see ``docs/observability.md``):
 * :mod:`~repro.obs.tracing` — sampled per-frame trace records with
   bounded ring-buffer retention;
 * :mod:`~repro.obs.instrument` — the glue that hooks a live
-  :class:`~repro.server.gateway.AsyncGateway` (and its planes, pool
-  workers and resilient fabrics) into a registry;
+  :class:`~repro.server.gateway.AsyncGateway` (and its planes and
+  resilient fabrics) into a registry;
 * :mod:`~repro.obs.snapshot` — the one JSON serialization every CLI
   and wire surface shares.
 

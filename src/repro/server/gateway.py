@@ -32,21 +32,37 @@ from ..exceptions import (
 )
 from ..backends import backend_names, compiled_backend, prewarm, select_backend
 from ..service import ResilientVectorFabric
-from .planes import (
-    BackendPlane,
-    BatchVectorPlane,
-    CompletedFrame,
-    PipelinedPlane,
-    ResilientPlane,
-    VectorPlane,
-)
+from .planes import BackendPlane, CompletedFrame, ResilientPlane
 from .scheduler import FrameScheduler
 from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
 
-__all__ = ["AsyncGateway", "BatchResult", "GatewayConfig", "Receipt"]
+__all__ = [
+    "AsyncGateway",
+    "BatchResult",
+    "GatewayConfig",
+    "Receipt",
+    "engine_names",
+]
 
 #: Builds plane *i* for a gateway of address width *m*.
 PlaneFactory = Callable[[int, int], Any]
+
+#: Engine aliases -> (backend, pipelined).  A pipelined plane keeps the
+#: BNB pipeline's timing: one frame enters per cycle and leaves ``m``
+#: cycles later.  Every other engine — ``"batch"``, ``"auto"`` and each
+#: backend name — routes up to ``batch_window`` frames per cycle and
+#: delivers them the same cycle.
+ENGINE_ALIASES = {
+    "object": ("bnb-object", True),
+    "vector": ("bnb", True),
+    "batch": ("bnb", False),
+}
+
+
+def engine_names() -> List[str]:
+    """Every valid :attr:`GatewayConfig.engine` — the ``--engine``
+    choices of every CLI subcommand derive from this list."""
+    return [*ENGINE_ALIASES, "auto", *backend_names()]
 
 
 @dataclasses.dataclass
@@ -57,24 +73,25 @@ class GatewayConfig:
     planes: int = 1
     queue_capacity: int = 32
     resilient: bool = False
-    #: Dataplane engine for the planes: ``"object"`` clocks the
-    #: reference ``PipelinedBNBFabric``, ``"vector"`` the compiled-plan
-    #: numpy ``VectorPipelinedFabric`` with sampled boundary
-    #: verification, ``"batch"`` the frame-axis-batched
-    #: :class:`~repro.server.planes.BatchVectorPlane` (many frames per
-    #: numpy gather — the engine behind ``send_batch`` throughput).
-    #: ``"auto"`` runs the backend arena calibration at construction
-    #: and serves :class:`~repro.server.planes.BackendPlane`\ s on the
-    #: measured-fastest registered backend for this ``m``; any
-    #: registered backend name (``"krbenes"``, ``"msorter"``, ...)
-    #: pins that backend without calibrating (see ``docs/backends.md``).
-    #: Orthogonal to ``resilient``: a resilient vector plane wraps a
+    #: Dataplane engine; without ``resilient`` every engine serves
+    #: :class:`~repro.server.planes.BackendPlane`\ s.  ``"object"`` (the
+    #: reference object model, backend ``"bnb-object"``) and
+    #: ``"vector"`` (the compiled BNB dataplane, backend ``"bnb"``) keep
+    #: the pipeline's timing: one frame per cycle, delivered ``m``
+    #: cycles later.  ``"batch"`` routes up to ``batch_window`` frames
+    #: per cycle on ``"bnb"`` — the engine behind ``send_batch``
+    #: throughput.  ``"auto"`` runs the backend arena calibration at
+    #: construction and serves the measured-fastest registered backend
+    #: for this ``m``; any registered backend name (``"krbenes"``,
+    #: ``"msorter"``, ...) pins that backend without calibrating (see
+    #: ``docs/backends.md``); both route windows like ``"batch"``.
+    #: With ``resilient``, ``"object"`` planes wrap a
+    #: ``ResilientFabric`` and ``"vector"`` planes a
     #: ``ResilientVectorFabric`` (masked fault kernels, pipelined BIST,
-    #: compiled Benes failover), a resilient object plane a
-    #: ``ResilientFabric``; the batch/backend engines have no resilient
+    #: compiled Benes failover); the windowed engines have no resilient
     #: variant.
     engine: str = "object"
-    #: Frames a batch plane buffers before one batched routing call.
+    #: Frames a windowed plane routes per cycle in one batched call.
     batch_window: int = 32
     #: Weighted QoS classes: ``{"gold": 8, "bronze": 1}`` splits every
     #: destination's VOQ into per-tenant FIFOs drained by deficit-
@@ -105,13 +122,13 @@ class GatewayConfig:
             raise ValueError(
                 f"queue capacity must be >= 1, got {self.queue_capacity}"
             )
-        builtin = ("object", "vector", "batch", "auto")
-        if self.engine not in builtin and self.engine not in backend_names():
+        if self.engine not in engine_names():
             raise ValueError(
-                f"engine must be one of {builtin} or a registered "
-                f"backend name {backend_names()}, got {self.engine!r}"
+                f"engine must be one of {[*ENGINE_ALIASES, 'auto']} or a "
+                f"registered backend name {backend_names()}, "
+                f"got {self.engine!r}"
             )
-        if self.engine not in ("object", "vector") and self.resilient:
+        if self.resilient and self.engine not in ("object", "vector"):
             raise ValueError(
                 f"the {self.engine!r} engine has no resilient variant; "
                 f"use engine='vector' with resilient=True"
@@ -260,16 +277,22 @@ class AsyncGateway:
             starvation_cycles=config.starvation_cycles,
         )
         self.scheduler = FrameScheduler(self.n)
-        #: Routing backend serving the planes, for stats and metrics:
-        #: the arena winner under ``engine="auto"``, the pinned backend
-        #: name for backend engines, the BNB engine the built-in kinds
-        #: wrap otherwise.
-        self.backend_name: str = (
-            "bnb-object" if config.engine == "object" else "bnb"
-        )
         #: The arena decision behind an ``engine="auto"`` choice
         #: (``None`` for every explicit engine).
         self.arena_decision = None
+        backend_name, pipelined = ENGINE_ALIASES.get(
+            config.engine, (config.engine, False)
+        )
+        if backend_name == "auto":
+            # Calibrate on the batch workload: these planes route whole
+            # windows.
+            self.arena_decision = select_backend(config.m, workload="batch")
+            backend_name = self.arena_decision.backend
+        #: Routing backend serving the planes, for stats and metrics.
+        self.backend_name: str = backend_name
+        window, depth = (
+            (1, config.m) if pipelined else (config.batch_window, 0)
+        )
         if plane_factory is None:
             if config.resilient and config.engine == "vector":
                 plane_factory = lambda i, m: ResilientPlane(
@@ -277,41 +300,17 @@ class AsyncGateway:
                 )
             elif config.resilient:
                 plane_factory = lambda i, m: ResilientPlane(i, m)
-            elif config.engine == "batch":
-                plane_factory = lambda i, m: BatchVectorPlane(
-                    i, m, batch_window=config.batch_window
-                )
-            elif config.engine == "vector":
-                plane_factory = lambda i, m: VectorPlane(i, m)
-            elif config.engine == "object":
-                plane_factory = lambda i, m: PipelinedPlane(i, m)
             else:
-                # Backend engines: "auto" calibrates the arena (batch
-                # workload — these planes route whole windows) and
-                # serves the measured winner; a registered backend name
-                # pins it.  Either way the engine compiles here, at
+                # Compile (and prewarm the shared plan) here, at
                 # construction, so no served frame pays compile latency.
-                if config.engine == "auto":
-                    self.arena_decision = select_backend(
-                        config.m, workload="batch"
-                    )
-                    self.backend_name = self.arena_decision.backend
-                else:
-                    self.backend_name = config.engine
-                engine = compiled_backend(self.backend_name, config.m)
+                prewarm(config.m, [self.backend_name])
+                backend = compiled_backend(self.backend_name, config.m)
                 plane_factory = lambda i, m: BackendPlane(
-                    i,
-                    m,
-                    backend=engine,
-                    batch_window=config.batch_window,
+                    i, m, backend=backend, batch_window=window, depth=depth
                 )
         self.planes = [
             plane_factory(i, config.m) for i in range(config.planes)
         ]
-        # Pre-warm the compiled caches for whatever engine the planes
-        # run, so the first frame after boot routes on hot tables.
-        if not config.resilient and config.engine != "object":
-            prewarm(config.m, [self.backend_name])
         self.node_id = config.node_id or f"gw-{os.getpid()}"
         self.cycle = 0
         self.delivered_words = 0
@@ -657,8 +656,11 @@ class AsyncGateway:
         return await future
 
     def kill_plane(self, plane_id: int, reason: str = "operator kill") -> int:
-        """Fail one plane; its in-flight words requeue.  Returns how many."""
-        plane = self.planes[plane_id]
+        """Fail one plane; its in-flight words requeue.  Returns how many.
+
+        Raises :class:`InputError` for a plane id outside the pool.
+        """
+        plane = self._plane(plane_id)
         was_healthy = plane.healthy
         stranded = plane.kill(reason=reason)
         self.voqs.requeue_front(stranded)
@@ -684,12 +686,7 @@ class AsyncGateway:
         """
         from ..faults.injector import SwitchCoordinate
 
-        if not 0 <= plane_id < len(self.planes):
-            raise InputError(
-                f"plane {plane_id} out of range "
-                f"({len(self.planes)} plane(s))"
-            )
-        plane = self.planes[plane_id]
+        plane = self._plane(plane_id)
         fabric = getattr(plane, "fabric", None)
         inject = getattr(fabric, "inject_stuck_control", None)
         if inject is None:
@@ -700,6 +697,16 @@ class AsyncGateway:
         inject(SwitchCoordinate(*(int(axis) for axis in coordinate)), value)
         self._work.set()
         return plane.describe()
+
+    def _plane(self, plane_id: int) -> Any:
+        """The plane with id *plane_id*; :class:`InputError` outside the
+        pool (a negative id is refused, not counted from the end)."""
+        if not 0 <= plane_id < len(self.planes):
+            raise InputError(
+                f"plane {plane_id} out of range "
+                f"({len(self.planes)} plane(s))"
+            )
+        return self.planes[plane_id]
 
     def _fail_stranded(self, entries: List[QueueEntry], failure: Exception) -> None:
         """Fail every stranded waiter: per-word futures and whole batches.
@@ -768,7 +775,7 @@ class AsyncGateway:
         for plane in ready:
             if not self.voqs.total:
                 break
-            # A plane that stays ready after a frame (the batch engine
+            # A plane that stays ready after a frame (a windowed plane
             # buffering toward its window) keeps taking frames, so one
             # tick can hand it a whole batch.
             while plane.ready and self.voqs.total:

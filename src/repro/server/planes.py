@@ -3,21 +3,18 @@
 A *plane* is one independent copy of the fabric plus the book-keeping
 to track which frames are inside it.  The kinds:
 
-* :class:`PipelinedPlane` — a raw
-  :class:`~repro.core.pipeline.PipelinedBNBFabric` clocked frame-per-
-  cycle, ``m`` frames in flight back-to-back.  Deliveries are verified
-  at the plane boundary; a misdelivery (physical fault on an
-  unprotected plane) fails the plane, and its words requeue.
-* :class:`VectorPlane` — the same schedule on the compiled numpy
-  engine (:class:`~repro.core.pipeline_fast.VectorPipelinedFabric`).
-  Boundary verification is *sampled* so it cannot erase the engine's
-  speed advantage: a full check every ``verify_every``-th frame, a
-  rotating spot check of a few destinations otherwise.  A detected
-  misdelivery still kills the plane and requeues everything in flight.
-* :class:`BackendPlane` — the batch plane's buffering and verification
-  over any registered :class:`~repro.backends.RoutingBackend` (KR-Benes,
-  the multiway sorter, or the arena's measured winner under
-  ``engine="auto"``; see ``docs/backends.md``).
+* :class:`BackendPlane` — frames routed through a compiled
+  :class:`~repro.backends.RoutingBackend` (the BNB vector dataplane,
+  the BNB object model, KR-Benes, the multiway sorter, or the arena's
+  measured winner under ``engine="auto"``; see ``docs/backends.md``).
+  Up to ``batch_window`` frames per gateway cycle go through one
+  kernel call, every routed frame is verified in full, and verified
+  frames leave the plane ``depth`` cycles later.  ``batch_window=1,
+  depth=m`` is the BNB pipeline's timing (one frame enters per cycle,
+  ``m`` in flight); ``depth=0`` with a wider window routes whole
+  windows per cycle.  A misdelivery (a physical fault on this
+  unprotected plane, or a backend bug) fails the plane, and its words
+  requeue.
 * :class:`ResilientPlane` — a
   :class:`~repro.service.ResilientFabric` (object engine) or
   :class:`~repro.service.ResilientVectorFabric` (vector engine) whose
@@ -27,49 +24,37 @@ to track which frames are inside it.  The kinds:
   pipeline), so the resilient kinds trade peak throughput for fault
   tolerance — the vector fabric narrows that trade substantially.
 
-All expose the same interface the gateway's clock loop drives:
+Both expose the same interface the gateway's clock loop drives:
 ``ready`` / ``offer`` / ``step`` / ``kill`` / ``load``.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..backends import RoutingBackend, compiled_backend
-from ..core.pipeline import ControlOverride, PipelinedBNBFabric
-from ..core.pipeline_fast import VectorPipelinedFabric, route_frame_batch
-from ..core.words import Word
+from ..core.pipeline_fast import VectorPipelinedFabric
 from ..exceptions import FaultServiceError, MisdeliveryError
 from ..service.fabric import ResilientFabric
 from .scheduler import ScheduledFrame
 from .voq import QueueEntry
 
-__all__ = [
-    "BackendPlane",
-    "BatchVectorPlane",
-    "CompletedFrame",
-    "PipelinedPlane",
-    "ResilientPlane",
-    "VectorPlane",
-]
+__all__ = ["BackendPlane", "CompletedFrame", "ResilientPlane"]
 
 
 @dataclasses.dataclass
 class CompletedFrame:
     """A frame that left a plane with every word on its addressed line.
 
-    ``outputs`` is the per-line Word list for the object-engine planes;
-    :class:`BatchVectorPlane` verifies arithmetically on source-index
-    arrays and leaves it ``None`` — nothing downstream of a plane reads
-    ``outputs`` (the gateway resolves receipts from ``frame.entries``),
-    so batch completions never materialize per-word objects.
+    The gateway resolves receipts from ``frame.entries``; the plane has
+    already verified the routing, so no per-line output travels here.
     """
 
     frame: ScheduledFrame
-    outputs: Optional[List[Optional[Word]]]
     plane_id: int
     mode: str  # "clean" | "degraded" | "failover"
 
@@ -108,19 +93,6 @@ class _PlaneBase:
         self._in_flight.clear()
         return stranded
 
-    def _verify(
-        self, frame: ScheduledFrame, outputs: List[Optional[Word]]
-    ) -> None:
-        """Every entry's word must sit on its addressed line, payload intact."""
-        for destination, entry in frame.entries.items():
-            word = outputs[destination]
-            if word is None or word.payload is not entry:
-                raise MisdeliveryError(
-                    self.plane_id,
-                    f"frame {frame.tag}: output {destination} carries "
-                    f"{word!r}, expected the word for {entry.destination}",
-                )
-
     def describe(self) -> Dict[str, Any]:
         return {
             "id": self.plane_id,
@@ -133,328 +105,16 @@ class _PlaneBase:
         }
 
 
-class PipelinedPlane(_PlaneBase):
-    """A raw pipelined BNB plane: one frame enters per cycle, ``m`` in flight."""
-
-    def __init__(
-        self,
-        plane_id: int,
-        m: int,
-        control_override: Optional[ControlOverride] = None,
-    ) -> None:
-        super().__init__(plane_id)
-        self.m = m
-        self.fabric = PipelinedBNBFabric(
-            m, control_override=control_override, retain_delivered=False
-        )
-        self._delivered_now: List[Tuple[Any, List[Word]]] = []
-        self.fabric.add_delivery_hook(
-            lambda tag, outputs: self._delivered_now.append((tag, outputs))
-        )
-
-    @property
-    def ready(self) -> bool:
-        return self.healthy and self.fabric.can_accept
-
-    @property
-    def load(self) -> int:
-        return self.in_flight + (0 if self.fabric.can_accept else 1)
-
-    def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
-            raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
-        self.fabric.offer_words(frame.words, tag=frame.tag)
-        self._in_flight[frame.tag] = frame
-
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """One clock: returns (verified completions, entries to requeue).
-
-        A verification failure — only possible with a physical fault
-        injected into this unprotected plane — fails the whole plane:
-        the bad frame's words and everything else in flight requeue,
-        and ``healthy`` drops so the pool stops scheduling onto it.
-        """
-        if not self.healthy or (
-            self.fabric.in_flight == 0 and self.fabric.can_accept
-        ):
-            return [], []
-        self._delivered_now = []
-        self.fabric.step()
-        completed: List[CompletedFrame] = []
-        for tag, outputs in self._delivered_now:
-            frame = self._in_flight.pop(tag)
-            try:
-                self._verify(frame, outputs)
-            except MisdeliveryError as error:
-                requeue = list(frame.entries.values())
-                requeue.extend(self.kill(reason=str(error)))
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=outputs,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
-            )
-        return completed, []
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["engine"] = "object"
-        return info
-
-
-class VectorPlane(_PlaneBase):
-    """A compiled-plan numpy plane with sampled boundary verification.
-
-    Same clocking contract as :class:`PipelinedPlane` — one frame may
-    enter per cycle, ``m`` in flight — but the fabric is a
-    :class:`~repro.core.pipeline_fast.VectorPipelinedFabric`, so a step
-    costs a handful of whole-array passes instead of a Python-object
-    walk per word.  Verifying every line of every frame would put the
-    per-word Python loop right back on the hot path, so verification is
-    sampled: every ``verify_every``-th delivered frame is fully
-    checked; the others get ``spot_checks`` rotating per-destination
-    probes.  Any detected misdelivery (Theorem-2-impossible without a
-    fault or engine bug) kills the plane and requeues its words, same
-    as the object plane.
-    """
-
-    def __init__(
-        self,
-        plane_id: int,
-        m: int,
-        verify_every: int = 16,
-        spot_checks: int = 2,
-    ) -> None:
-        super().__init__(plane_id)
-        if verify_every < 1:
-            raise ValueError(
-                f"verify_every must be >= 1, got {verify_every}"
-            )
-        if spot_checks < 0:
-            raise ValueError(
-                f"spot_checks must be >= 0, got {spot_checks}"
-            )
-        self.m = m
-        self.verify_every = verify_every
-        self.spot_checks = spot_checks
-        self.full_verifies = 0
-        self.spot_verifies = 0
-        self.fabric = VectorPipelinedFabric(m, retain_delivered=False)
-        self._delivered_now: List[Tuple[Any, List[Word]]] = []
-        self.fabric.add_delivery_hook(
-            lambda tag, outputs: self._delivered_now.append((tag, outputs))
-        )
-        self._verified_counter = 0
-        self._spot_cursor = 0
-
-    @property
-    def ready(self) -> bool:
-        return self.healthy and self.fabric.can_accept
-
-    @property
-    def load(self) -> int:
-        return self.in_flight + (0 if self.fabric.can_accept else 1)
-
-    def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
-            raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
-        self.fabric.offer_words(frame.words, tag=frame.tag)
-        self._in_flight[frame.tag] = frame
-
-    def _verify_sampled(
-        self, frame: ScheduledFrame, outputs: List[Optional[Word]]
-    ) -> None:
-        """Full verify every k-th frame, rotating spot checks otherwise."""
-        index = self._verified_counter
-        self._verified_counter += 1
-        if index % self.verify_every == 0:
-            self.full_verifies += 1
-            self._verify(frame, outputs)
-            return
-        if not self.spot_checks or not frame.entries:
-            return
-        self.spot_verifies += 1
-        destinations = sorted(frame.entries)
-        for probe in range(min(self.spot_checks, len(destinations))):
-            destination = destinations[
-                (self._spot_cursor + probe) % len(destinations)
-            ]
-            entry = frame.entries[destination]
-            word = outputs[destination]
-            if word is None or word.payload is not entry:
-                raise MisdeliveryError(
-                    self.plane_id,
-                    f"frame {frame.tag}: spot check found output "
-                    f"{destination} carrying {word!r}, expected the word "
-                    f"for {entry.destination}",
-                )
-        self._spot_cursor = (self._spot_cursor + self.spot_checks) % max(
-            len(destinations), 1
-        )
-
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """One clock: returns (verified completions, entries to requeue)."""
-        if not self.healthy or (
-            self.fabric.in_flight == 0 and self.fabric.can_accept
-        ):
-            return [], []
-        self._delivered_now = []
-        self.fabric.step()
-        completed: List[CompletedFrame] = []
-        for tag, outputs in self._delivered_now:
-            frame = self._in_flight.pop(tag)
-            try:
-                self._verify_sampled(frame, outputs)
-            except MisdeliveryError as error:
-                requeue = list(frame.entries.values())
-                requeue.extend(self.kill(reason=str(error)))
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=outputs,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
-            )
-        return completed, []
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["engine"] = "vector"
-        info["verify_every"] = self.verify_every
-        info["full_verifies"] = self.full_verifies
-        info["spot_verifies"] = self.spot_verifies
-        return info
-
-
-class BatchVectorPlane(_PlaneBase):
-    """A frame-axis batched numpy plane: many frames per gather.
-
-    Where :class:`VectorPlane` steps one frame per fabric cycle, this
-    plane buffers up to ``batch_window`` frames and routes them all in
-    **one** :func:`~repro.core.pipeline_fast.route_frame_batch` call —
-    every stage of the BNB fabric becomes a single numpy gather over a
-    ``(batch, n)`` matrix, so the interpreter cost of a stage is paid
-    once per *batch of frames* instead of once per frame.  This is the
-    dataplane behind the gateway's ``send_batch`` path and the
-    ``--engine batch`` deployment.
-
-    Verification is total, not sampled, and word-free: the routed
-    ``sources`` row of a frame must satisfy ``sources[dest] ==
-    line_of[dest]`` for every genuine destination, which one vectorized
-    comparison over the frame's ``real_dests``/``real_lines`` arrays
-    checks without constructing a single :class:`Word`.  A failed check
-    kills the plane and requeues everything still inside, the same
-    containment contract as every other plane kind.
-    """
-
-    def __init__(self, plane_id: int, m: int, batch_window: int = 32) -> None:
-        super().__init__(plane_id)
-        if batch_window < 1:
-            raise ValueError(
-                f"batch_window must be >= 1, got {batch_window}"
-            )
-        self.m = m
-        self.n = 1 << m
-        self.batch_window = batch_window
-        self.batches_routed = 0
-        self._pending: List[ScheduledFrame] = []
-        # Prewarm: compile the per-m gather plan now so the first
-        # served batch pays no compile latency (see docs/backends.md).
-        from ..core.plan import compiled_plan
-
-        compiled_plan(m)
-
-    @property
-    def ready(self) -> bool:
-        return self.healthy and len(self._pending) < self.batch_window
-
-    @property
-    def load(self) -> int:
-        return self.in_flight
-
-    def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
-            raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
-        self._pending.append(frame)
-        self._in_flight[frame.tag] = frame
-
-    def kill(self, reason: str = "killed") -> List[QueueEntry]:
-        stranded = super().kill(reason=reason)
-        self._pending.clear()
-        return stranded
-
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """Route every buffered frame in one batched kernel call."""
-        if not self.healthy or not self._pending:
-            return [], []
-        frames, self._pending = self._pending, []
-        addresses = np.stack([frame.address_array for frame in frames])
-        sources = route_frame_batch(self.m, addresses)
-        self.batches_routed += 1
-        completed: List[CompletedFrame] = []
-        for row, frame in zip(sources, frames):
-            self._in_flight.pop(frame.tag, None)
-            dests = frame.real_dests
-            if dests.size and not np.array_equal(
-                row[dests], frame.real_lines
-            ):
-                bad = dests[row[dests] != frame.real_lines]
-                requeue = list(frame.entries.values())
-                requeue.extend(
-                    self.kill(
-                        reason=str(
-                            MisdeliveryError(
-                                self.plane_id,
-                                f"frame {frame.tag}: outputs {bad.tolist()} "
-                                f"carry the wrong source lines",
-                            )
-                        )
-                    )
-                )
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=None,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
-            )
-        return completed, []
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["engine"] = "batch"
-        info["batch_window"] = self.batch_window
-        info["batches_routed"] = self.batches_routed
-        return info
-
-
 class BackendPlane(_PlaneBase):
-    """A batch plane routing through a registered compiled backend.
+    """A plane routing through a compiled backend; see module docstring.
 
-    The serving end of the backend arena (see ``docs/backends.md``):
-    identical buffering, batching and containment contract to
-    :class:`BatchVectorPlane`, but the routing kernel is whatever
-    :class:`~repro.backends.RoutingBackend` the gateway picked —
-    hard-wired by name (``engine="krbenes"``) or the measured winner
-    of the arena calibration (``engine="auto"``).  Verification stays
-    total and backend-agnostic: the routed ``sources`` rows must put
-    every genuine destination's word on its addressed line, checked
-    arithmetically against ``real_dests``/``real_lines`` exactly as the
-    batch plane does, so a buggy (or merely disagreeing) backend kills
-    the plane and requeues its words instead of misdelivering.
+    Verification is total and backend-agnostic: the routed ``sources``
+    row of a frame must satisfy ``sources[dest] == line_of[dest]`` for
+    every genuine destination, which one vectorized comparison over the
+    frame's ``real_dests``/``real_lines`` arrays checks without building
+    a single :class:`~repro.core.words.Word`.  A failed check kills the
+    plane and requeues everything still inside it — the buffered
+    frames, the held ones and the bad frame itself.
     """
 
     def __init__(
@@ -463,25 +123,35 @@ class BackendPlane(_PlaneBase):
         m: int,
         backend: "RoutingBackend | str" = "bnb",
         batch_window: int = 32,
+        depth: int = 0,
     ) -> None:
         super().__init__(plane_id)
         if batch_window < 1:
             raise ValueError(
                 f"batch_window must be >= 1, got {batch_window}"
             )
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
         self.m = m
         self.n = 1 << m
         # Accept a name (compiled through the shared per-process cache)
-        # or an already-compiled engine (the auto gateway passes one so
-        # every plane shares the calibrated winner).
+        # or an already-compiled engine (the gateway passes one so every
+        # plane shares it).
         self.backend = (
             compiled_backend(backend, m)
             if isinstance(backend, str)
             else backend
         )
         self.batch_window = batch_window
+        self.depth = depth
         self.batches_routed = 0
         self._pending: List[ScheduledFrame] = []
+        # Routed, verified frames waiting out the depth: (due step,
+        # frames) groups, oldest first.
+        self._held: Deque[Tuple[int, List[ScheduledFrame]]] = (
+            collections.deque()
+        )
+        self._steps = 0
 
     @property
     def ready(self) -> bool:
@@ -500,13 +170,45 @@ class BackendPlane(_PlaneBase):
     def kill(self, reason: str = "killed") -> List[QueueEntry]:
         stranded = super().kill(reason=reason)
         self._pending.clear()
+        self._held.clear()
         return stranded
 
     def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """Route every buffered frame through the backend in one call."""
-        if not self.healthy or not self._pending:
+        """One clock: returns (verified completions, entries to requeue).
+
+        Routes every buffered frame in one kernel call, then releases
+        the frames whose depth has elapsed.
+        """
+        if not self.healthy or not self._in_flight:
             return [], []
-        frames, self._pending = self._pending, []
+        self._steps += 1
+        if self._pending:
+            frames, self._pending = self._pending, []
+            try:
+                self._route(frames)
+            except MisdeliveryError as error:
+                return [], self.kill(reason=str(error))
+            self._held.append((self._steps + self.depth, frames))
+        completed: List[CompletedFrame] = []
+        held = self._held
+        while held and held[0][0] <= self._steps:
+            for frame in held.popleft()[1]:
+                del self._in_flight[frame.tag]
+                self.frames_delivered += 1
+                self.words_delivered += frame.active
+                completed.append(
+                    CompletedFrame(
+                        frame=frame, plane_id=self.plane_id, mode="clean"
+                    )
+                )
+        return completed, []
+
+    def _route(self, frames: List[ScheduledFrame]) -> None:
+        """Route *frames* in one call; raise on any misplaced word.
+
+        A lone frame goes through ``route_frame``, which is cheaper than
+        a batch of one; several share one ``route_frame_batch``.
+        """
         if len(frames) == 1:
             sources = self.backend.route_frame(frames[0].address_array)[
                 None, :
@@ -516,45 +218,24 @@ class BackendPlane(_PlaneBase):
                 np.stack([frame.address_array for frame in frames])
             )
         self.batches_routed += 1
-        completed: List[CompletedFrame] = []
         for row, frame in zip(sources, frames):
-            self._in_flight.pop(frame.tag, None)
             dests = frame.real_dests
             if dests.size and not np.array_equal(
                 row[dests], frame.real_lines
             ):
                 bad = dests[row[dests] != frame.real_lines]
-                requeue = list(frame.entries.values())
-                requeue.extend(
-                    self.kill(
-                        reason=str(
-                            MisdeliveryError(
-                                self.plane_id,
-                                f"frame {frame.tag}: backend "
-                                f"{self.backend.name!r} put the wrong "
-                                f"source lines on outputs {bad.tolist()}",
-                            )
-                        )
-                    )
+                raise MisdeliveryError(
+                    self.plane_id,
+                    f"frame {frame.tag}: backend {self.backend.name!r} "
+                    f"put the wrong source lines on outputs {bad.tolist()}",
                 )
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=None,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
-            )
-        return completed, []
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
         info["engine"] = "backend"
         info["backend"] = self.backend.name
         info["batch_window"] = self.batch_window
+        info["depth"] = self.depth
         info["batches_routed"] = self.batches_routed
         return info
 
@@ -610,24 +291,29 @@ class ResilientPlane(_PlaneBase):
             result = self.fabric.submit_words(frame.words, tag=frame.tag)
             self._verify(frame, result.outputs)
         except (FaultServiceError, MisdeliveryError) as error:
-            requeue = list(frame.entries.values())
-            self._in_flight.pop(frame.tag, None)
-            requeue.extend(self.kill(reason=str(error)))
-            return [], requeue
+            return [], self.kill(reason=str(error))
         self._in_flight.pop(frame.tag, None)
         self.frames_delivered += 1
         self.words_delivered += frame.active
         return (
             [
                 CompletedFrame(
-                    frame=frame,
-                    outputs=result.outputs,
-                    plane_id=self.plane_id,
-                    mode=result.mode,
+                    frame=frame, plane_id=self.plane_id, mode=result.mode
                 )
             ],
             [],
         )
+
+    def _verify(self, frame: ScheduledFrame, outputs: List[Any]) -> None:
+        """Every entry's word must sit on its addressed line, payload intact."""
+        for destination, entry in frame.entries.items():
+            word = outputs[destination]
+            if word is None or word.payload is not entry:
+                raise MisdeliveryError(
+                    self.plane_id,
+                    f"frame {frame.tag}: output {destination} carries "
+                    f"{word!r}, expected the word for {entry.destination}",
+                )
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()

@@ -30,9 +30,9 @@ class ScheduledFrame:
     ``entries[dest]`` is the queue entry whose word rides the frame to
     output *dest*.  The frame carries its traffic in two interchangeable
     shapes: ``words`` — the per-line :class:`~repro.core.words.Word`
-    list the object planes clock through the fabric — and the array
+    list the resilient planes submit to their fabric — and the array
     triple (``address_array``, ``real_dests``, ``real_lines``) the
-    vectorized planes route and verify without touching a single Word.
+    backend planes route and verify without touching a single Word.
     Both are built lazily from the coalesced plan, so a frame only ever
     pays for the representation its plane actually uses.
     """

@@ -537,8 +537,8 @@ class CompiledBenesFailover:
     The object network stays on board as the verification oracle: the
     plan is validated at compile time on canonical probes, and every
     ``verify_every``-th served batch is cross-checked against a real
-    Benes route end to end — the same sampled-verification discipline
-    the vector planes apply to the primary path.
+    Benes route end to end.  (The serving plane above still checks
+    every delivered word of every frame at its boundary.)
     """
 
     def __init__(self, m: int, verify_every: int = 16) -> None:

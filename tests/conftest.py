@@ -58,6 +58,33 @@ def run_async():
     return _run
 
 
+@pytest.fixture
+def stuck_switch_backend():
+    """A test-only routing backend class for a faulty plane: the compiled
+    BNB dataplane with main stage 2's first switch stuck at 1, so any
+    frame that needs that switch the other way misdelivers words."""
+    from repro.backends import compiled_backend
+    from repro.faults import SwitchCoordinate, fault_mask_for
+
+    class StuckSwitchBackend:
+        name = "bnb-stuck"
+
+        def __init__(self, m):
+            self.m, self.n = m, 1 << m
+            self._bnb = compiled_backend("bnb", m)
+            self._mask = fault_mask_for(
+                m, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)]
+            )
+
+        def route_frame(self, addresses):
+            return self._bnb.route_frame(addresses, mask=self._mask)
+
+        def route_frame_batch(self, addresses):
+            return self._bnb.route_frame_batch(addresses, mask=self._mask)
+
+    return StuckSwitchBackend
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running exhaustive checks (still run by default)"

@@ -1,10 +1,27 @@
 """CLI tests (direct invocation of repro.cli.main)."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.server import engine_names
+
+
+def _engine_flag_choices(command):
+    """The ``--engine`` choices of one subcommand, read off the parser."""
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flag = next(
+        action
+        for action in subparsers.choices[command]._actions
+        if "--engine" in action.option_strings
+    )
+    return list(flag.choices)
 
 
 class TestRoute:
@@ -124,6 +141,10 @@ class TestRouteBackend:
         with pytest.raises(SystemExit):
             parser.parse_args(["serve", "8", "--engine", "warp"])
 
+    @pytest.mark.parametrize("command", ["serve", "stats", "replay", "cluster"])
+    def test_every_engine_flag_offers_the_gateway_engines(self, command):
+        assert _engine_flag_choices(command) == engine_names()
+
 
 class TestVerify:
     def test_verify_exhaustive(self, capsys):
@@ -232,8 +253,13 @@ class TestServe:
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 40
-        assert stats["planes"][0]["kind"] == "VectorPlane"
-        assert stats["planes"][0]["engine"] == "vector"
+        assert stats["engine"] == "vector"
+        plane = stats["planes"][0]
+        assert (plane["kind"], plane["backend"], plane["depth"]) == (
+            "BackendPlane",
+            "bnb",
+            3,
+        )
 
     def test_demo_resilient_vector_composes(self, capsys):
         assert main(
@@ -247,16 +273,15 @@ class TestServe:
         assert stats["planes"][0]["kind"] == "ResilientPlane"
         assert stats["planes"][0]["engine"] == "vector"
 
-    def test_demo_pool_workers(self, capsys):
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_demo_serves_on_every_engine(self, capsys, engine):
         assert main(
-            ["serve", "8", "--demo", "24", "--pool-workers", "2", "--json"]
+            ["serve", "8", "--demo", "64", "--engine", engine, "--json"]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["delivered_words"] == 24
-        assert len(stats["planes"]) == 2
-        assert all(
-            plane["kind"] == "ProcessPlane" for plane in stats["planes"]
-        )
+        assert stats["engine"] == engine
+        assert stats["delivered_words"] == 64
+        assert [plane["healthy"] for plane in stats["planes"]] == [True]
 
     def test_serve_bad_size_exits_2(self, capsys):
         assert main(["serve", "12"]) == 2

@@ -1,4 +1,4 @@
-"""The batch dataplane: ``send_batch``, ``BatchVectorPlane``, the client.
+"""The batch dataplane: ``send_batch``, the ``batch`` engine, the client.
 
 The per-batch counterpart of ``test_server_gateway``: one call admits
 thousands of words, the frame-axis kernel routes whole windows per
@@ -20,7 +20,7 @@ from repro.exceptions import (
 )
 from repro.server import (
     AsyncGateway,
-    BatchVectorPlane,
+    BackendPlane,
     GatewayConfig,
     GatewayServer,
 )
@@ -156,7 +156,7 @@ class TestSendBatch:
             # Freeze dispatch so the batch stays queued, then stop: the
             # tracker must fail with GatewayClosedError, not hang.
             monkeypatch.setattr(
-                BatchVectorPlane, "ready", property(lambda self: False)
+                BackendPlane, "ready", property(lambda self: False)
             )
             gateway = await AsyncGateway(_batch_config(m=3)).start()
             task = asyncio.ensure_future(
@@ -187,7 +187,7 @@ class TestSendBatch:
             assert result.statuses.all()
 
 
-class TestBatchVectorPlane:
+class TestBatchEngine:
     def test_window_buffers_then_routes_in_one_step(self, run_async):
         async def scenario():
             async with AsyncGateway(
@@ -197,7 +197,8 @@ class TestBatchVectorPlane:
                 return gateway.planes[0].describe()
 
         described = run_async(scenario())
-        assert described["engine"] == "batch"
+        assert described["backend"] == "bnb"
+        assert described["depth"] == 0
         assert described["batch_window"] == 16
         assert described["frames_delivered"] == 32
         # The window amortized: far fewer kernel calls than frames.

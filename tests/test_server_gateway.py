@@ -18,8 +18,8 @@ from repro.exceptions import (
 from repro.faults import SwitchCoordinate, fault_mask_for
 from repro.server import (
     AsyncGateway,
+    BackendPlane,
     GatewayConfig,
-    PipelinedPlane,
     ResilientPlane,
 )
 from repro.service import ResilientFabric, ResilientVectorFabric
@@ -80,19 +80,35 @@ class TestBasics:
             config = GatewayConfig(m=3, engine=engine, resilient=resilient)
             async with AsyncGateway(config) as gateway:
                 await gateway.send(2, payload="x")
-                plane = gateway.stats()["planes"][0]
-                return plane["kind"], plane["engine"]
+                return gateway.stats()["planes"][0]
 
-        assert run_async(scenario("object")) == ("PipelinedPlane", "object")
-        assert run_async(scenario("vector")) == ("VectorPlane", "vector")
-        assert run_async(scenario("object", resilient=True)) == (
-            "ResilientPlane",
-            "object",
+        def shape(plane):
+            return (
+                plane["kind"],
+                plane["backend"],
+                plane["batch_window"],
+                plane["depth"],
+            )
+
+        # (backend, batch_window, depth) follows from the engine alone.
+        assert shape(run_async(scenario("object"))) == (
+            "BackendPlane", "bnb-object", 1, 3,
         )
-        assert run_async(scenario("vector", resilient=True)) == (
-            "ResilientPlane",
-            "vector",
+        assert shape(run_async(scenario("vector"))) == (
+            "BackendPlane", "bnb", 1, 3,
         )
+        assert shape(run_async(scenario("batch"))) == (
+            "BackendPlane", "bnb", 32, 0,
+        )
+        assert shape(run_async(scenario("krbenes"))) == (
+            "BackendPlane", "krbenes", 32, 0,
+        )
+        for engine in ("object", "vector"):
+            plane = run_async(scenario(engine, resilient=True))
+            assert (plane["kind"], plane["engine"]) == (
+                "ResilientPlane",
+                engine,
+            )
 
 
 class TestConcurrentDelivery:
@@ -310,18 +326,19 @@ class TestPlaneFailure:
         # Everything after the kill rode the surviving plane.
         assert stats["planes"][1]["words_delivered"] > 0
 
-    def test_faulty_plane_auto_quarantines_on_misdelivery(self, run_async):
-        def factory(plane_id, m):
-            if plane_id == 0:
-                # A late-stage stuck switch: reliably misroutes.
-                return PipelinedPlane(
-                    plane_id,
-                    m,
-                    control_override=stuck_control_override(2, 0, 0, 0, 0, 1),
+    def test_faulty_plane_auto_quarantines_on_misdelivery(
+        self, run_async, stuck_switch_backend
+    ):
+        async def scenario(window, depth):
+            def factory(plane_id, m):
+                # Plane 0 has a late-stage stuck switch: reliably
+                # misroutes.
+                backend = stuck_switch_backend(m) if plane_id == 0 else "bnb"
+                return BackendPlane(
+                    plane_id, m, backend=backend,
+                    batch_window=window, depth=depth,
                 )
-            return PipelinedPlane(plane_id, m)
 
-        async def scenario():
             config = GatewayConfig(m=3, planes=2, queue_capacity=16)
             rng = random.Random(13)
             async with AsyncGateway(config, plane_factory=factory) as gateway:
@@ -336,15 +353,18 @@ class TestPlaneFailure:
                 stats = gateway.stats()
             return receipts, stats
 
-        receipts, stats = run_async(scenario())
-        # 100% delivery despite the physical fault...
-        assert all(
-            receipt.payload == index for index, receipt in enumerate(receipts)
-        )
-        # ...because the misdelivering plane was failed and drained.
-        assert stats["planes"][0]["healthy"] is False
-        assert "misdelivered" in stats["planes"][0]["failure"]
-        assert stats["queues"]["requeued"] > 0
+        # Both plane shapes: the pipeline's timing and a window.
+        for window, depth in ((1, 3), (8, 0)):
+            receipts, stats = run_async(scenario(window, depth))
+            # 100% delivery despite the physical fault...
+            assert all(
+                receipt.payload == index
+                for index, receipt in enumerate(receipts)
+            )
+            # ...because the misdelivering plane was failed and drained.
+            assert stats["planes"][0]["healthy"] is False
+            assert "misdelivered" in stats["planes"][0]["failure"]
+            assert stats["queues"]["requeued"] > 0
 
     def test_resilient_plane_absorbs_fault_without_dying(self, run_async):
         def factory(plane_id, m):
@@ -467,6 +487,24 @@ class TestPlaneFailure:
         assert stats["planes"][0]["service_state"] == "quarantined"
         assert stats["planes"][1]["service_state"] == "healthy"
 
+    def test_kill_plane_rejects_ids_outside_the_pool(self, run_async):
+        async def scenario():
+            config = GatewayConfig(m=3, planes=2)
+            async with AsyncGateway(config) as gateway:
+                for plane_id in (-1, 2):
+                    with pytest.raises(InputError, match="out of range"):
+                        gateway.kill_plane(plane_id)
+                receipt = await gateway.send(4, payload="still served")
+                return receipt, gateway.stats()
+
+        receipt, stats = run_async(scenario())
+        assert receipt.payload == "still served"
+        # Neither refused id killed anything: -1 is not the last plane.
+        assert [plane["healthy"] for plane in stats["planes"]] == [
+            True,
+            True,
+        ]
+
     def test_inject_fault_rejects_bad_targets(self, run_async):
         async def scenario():
             async with AsyncGateway(GatewayConfig(m=3, planes=1)) as gateway:
@@ -518,4 +556,4 @@ class TestShutdown:
         stats = run_async(scenario())
         encoded = json.loads(json.dumps(stats))
         assert encoded["delivered_words"] == 1
-        assert encoded["planes"][0]["kind"] == "PipelinedPlane"
+        assert encoded["planes"][0]["kind"] == "BackendPlane"

@@ -1,21 +1,40 @@
-"""The vector plane's sampled verification and the multi-process pool."""
+"""The one serving plane: both shapes, total verification, containment.
+
+:class:`~repro.server.BackendPlane` runs in two shapes (the
+``plane_shape`` fixture): the BNB pipeline's timing — one frame per
+cycle, delivered ``m`` cycles later — and a window of frames routed and
+delivered in one cycle.  Either way every routed frame is verified in
+full, so a single misplaced word on any frame kills the plane and its
+words requeue onto the survivors.
+"""
 
 import asyncio
 import random
 
 import pytest
 
+from repro.backends import compiled_backend
 from repro.server import (
     AsyncGateway,
+    BackendPlane,
     FrameScheduler,
     GatewayConfig,
-    ProcessPlanePool,
-    VectorPlane,
     VirtualOutputQueues,
 )
 from repro.server.voq import QueueEntry
 
 pytestmark = pytest.mark.asyncio_suite
+
+
+@pytest.fixture(params=["pipelined", "windowed"])
+def plane_shape(request):
+    """The two plane shapes, as a function of ``m`` returning
+    constructor keywords: the BNB pipeline's timing (one frame per
+    cycle, held ``m`` cycles) and a window of 8 frames per cycle
+    delivered at once."""
+    if request.param == "pipelined":
+        return lambda m: {"batch_window": 1, "depth": m}
+    return lambda m: {"batch_window": 8, "depth": 0}
 
 
 def _full_frame(scheduler, voqs, n, cycle=1):
@@ -30,101 +49,182 @@ def _full_frame(scheduler, voqs, n, cycle=1):
     return frame
 
 
-def _run_plane(plane, frame):
-    """Offer one frame and clock until it completes or the plane dies."""
-    plane.offer(frame)
-    for _ in range(plane.m + 2):
-        completed, requeue = plane.step()
-        if completed or requeue or not plane.healthy:
-            return completed, requeue
-    raise AssertionError("frame neither completed nor failed")
+class _OneWrongDestination:
+    """The compiled BNB backend, except that on routed frame *frame*
+    (counting from 0 across calls) output ``n-1`` gets line 0's source.
+
+    One wrong destination on one later frame: a sampled check (a full
+    verify every 16th frame, spot checks of two rotating destinations
+    otherwise) would look only at outputs 0 and 1 of frame 1 and miss
+    it.
+    """
+
+    name = "bnb-one-wrong"
+
+    def __init__(self, m, frame=1):
+        self.m, self.n = m, 1 << m
+        self._bnb = compiled_backend("bnb", m)
+        self._frame = frame
+        self._routed = 0
+
+    def route_frame(self, addresses):
+        return self.route_frame_batch(addresses[None, :])[0]
+
+    def route_frame_batch(self, addresses):
+        sources = self._bnb.route_frame_batch(addresses)
+        row = self._frame - self._routed
+        if 0 <= row < len(sources):
+            sources[row, self.n - 1] = sources[row, 0]
+        self._routed += len(sources)
+        return sources
 
 
-class TestVectorPlaneSampling:
+class TestBackendPlane:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            VectorPlane(0, 3, verify_every=0)
+            BackendPlane(0, 3, batch_window=0)
         with pytest.raises(ValueError):
-            VectorPlane(0, 3, spot_checks=-1)
+            BackendPlane(0, 3, depth=-1)
 
-    def test_full_verify_every_kth_frame(self):
+    def test_pipelined_shape_holds_frames_m_steps(self):
         m, n = 3, 8
-        plane = VectorPlane(0, m, verify_every=4, spot_checks=2)
+        plane = BackendPlane(0, m, batch_window=1, depth=m)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
-        for index in range(9):
-            completed, requeue = _run_plane(
-                plane, _full_frame(scheduler, voqs, n, cycle=index + 1)
-            )
-            assert completed and not requeue
-        # Frames 0, 4, 8 got the full check; the other six a spot check.
-        assert plane.full_verifies == 3
-        assert plane.spot_verifies == 6
-        assert plane.frames_delivered == 9
+        delivered_at = {}
+        for step in range(1, 7):
+            if step <= 4:
+                frame = _full_frame(scheduler, voqs, n, cycle=step)
+                plane.offer(frame)
+                assert not plane.ready  # one frame per cycle
+            completed, requeue = plane.step()
+            assert not requeue
+            for completion in completed:
+                delivered_at[completion.frame.tag] = step
+            if step == m:
+                assert plane.in_flight == m  # m frames in the pipeline
+        assert delivered_at == {0: 1 + m, 1: 2 + m, 2: 3 + m}
+        assert plane.batches_routed == 4
         info = plane.describe()
-        assert info["engine"] == "vector"
-        assert info["verify_every"] == 4
+        assert (info["kind"], info["backend"], info["depth"]) == (
+            "BackendPlane",
+            "bnb",
+            m,
+        )
 
-    def test_spot_check_catches_injected_misdelivery(self):
-        """Corrupt deliveries starting after the first frame, so only
-        the rotating spot checks can see it — they must."""
+    def test_windowed_shape_routes_a_window_per_step(self):
         m, n = 3, 8
-        plane = VectorPlane(0, m, verify_every=1000, spot_checks=n)
-        delivered = [0]
-
-        def corrupt(tag, outputs):
-            if delivered[0]:
-                outputs[0], outputs[1] = outputs[1], outputs[0]
-            delivered[0] += 1
-
-        # Registered after the plane's own hook: it mutates the very
-        # list the plane captured, before the plane verifies it.
-        plane.fabric.add_delivery_hook(corrupt)
+        plane = BackendPlane(0, m, batch_window=8, depth=0)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
-        completed, requeue = _run_plane(
-            plane, _full_frame(scheduler, voqs, n, cycle=1)
+        for cycle in range(5):
+            plane.offer(_full_frame(scheduler, voqs, n, cycle=cycle))
+        completed, requeue = plane.step()
+        assert [c.frame.tag for c in completed] == [0, 1, 2, 3, 4]
+        assert not requeue
+        assert plane.batches_routed == 1
+        assert plane.in_flight == 0
+        assert plane.words_delivered == 5 * n
+
+    def test_kill_strands_buffered_and_held_frames(self):
+        m, n = 3, 8
+        plane = BackendPlane(0, m, batch_window=1, depth=m)
+        scheduler = FrameScheduler(n)
+        voqs = VirtualOutputQueues(n, 16)
+        for cycle in range(2):
+            plane.offer(_full_frame(scheduler, voqs, n, cycle=cycle))
+            plane.step()  # routed and held
+        plane.offer(_full_frame(scheduler, voqs, n, cycle=2))  # buffered
+        stranded = plane.kill(reason="test")
+        assert len(stranded) == 3 * n
+        assert plane.in_flight == 0 and not plane.ready
+        assert plane.step() == ([], [])
+        assert plane.kill() == []  # idempotent
+
+    def test_one_wrong_word_kills_the_plane(self, plane_shape):
+        m, n = 3, 8
+        plane = BackendPlane(
+            0, m, backend=_OneWrongDestination(m, frame=1), **plane_shape(m)
         )
-        assert completed and plane.healthy  # frame 0 rides clean
-        completed, requeue = _run_plane(
-            plane, _full_frame(scheduler, voqs, n, cycle=2)
-        )
-        assert not completed
+        scheduler = FrameScheduler(n)
+        voqs = VirtualOutputQueues(n, 16)
+        frames = [_full_frame(scheduler, voqs, n, cycle=c) for c in (1, 2)]
+        steps = []
+        for frame in frames:
+            plane.offer(frame)
+            if plane.batch_window == 1:  # one frame per cycle
+                steps.append(plane.step())
+        if plane.batch_window > 1:  # both frames in one window
+            steps.append(plane.step())
+        assert not any(completed for completed, _requeue in steps)
         assert plane.healthy is False
         assert "misdelivered" in plane.failure
-        assert len(requeue) == n  # the corrupted frame's words requeue
-        assert plane.spot_verifies == 1
+        assert f"outputs [{n - 1}]" in plane.failure
+        # The bad frame's words requeue, with everything else inside.
+        requeue = steps[-1][1]
+        bad = {id(entry) for entry in frames[1].entries.values()}
+        assert bad <= {id(entry) for entry in requeue}
+        assert len(requeue) == 2 * n
 
-    def test_gateway_survives_misdelivering_vector_plane(self, run_async):
-        """ISSUE acceptance: sampled verification kills the bad plane,
-        its words requeue, and the pool still delivers 100%."""
+
+class _DeliveryLog:
+    """A gateway observer recording dispatched and requeued payloads."""
+
+    def __init__(self):
+        self.dispatched = {}  # plane id -> payload lists, one per frame
+        self.requeued = []
+
+    def on_dispatch(self, frame, plane, cycle):
+        self.dispatched.setdefault(plane.plane_id, []).append(
+            [entry.payload for entry in frame.entries.values()]
+        )
+
+    def on_requeue(self, plane, entries):
+        self.requeued.extend(entry.payload for entry in entries)
+
+    def on_reject(self, entry, error):
+        pass
+
+    def on_frame_delivered(self, completion, cycle, max_latency):
+        pass
+
+    def on_plane_killed(self, plane):
+        pass
+
+
+def _serve(factory, seed, words=200, observer=None):
+    async def scenario():
+        config = GatewayConfig(m=3, planes=2, queue_capacity=16)
+        rng = random.Random(seed)
+        async with AsyncGateway(config, plane_factory=factory) as gateway:
+            gateway.observer = observer
+            receipts = await asyncio.gather(
+                *(
+                    gateway.send_with_retry(
+                        rng.randrange(8), payload=index, attempts=64
+                    )
+                    for index in range(words)
+                )
+            )
+            return receipts, gateway.stats()
+
+    return scenario()
+
+
+class TestContainment:
+    def test_gateway_survives_faulty_plane(
+        self, run_async, plane_shape, stuck_switch_backend
+    ):
+        """A physically faulty plane dies on its first bad frame, its
+        words requeue, and the pool still delivers 100%."""
 
         def factory(plane_id, m):
-            plane = VectorPlane(plane_id, m, verify_every=2, spot_checks=2)
-            if plane_id == 0:
+            backend = stuck_switch_backend(m) if plane_id == 0 else "bnb"
+            return BackendPlane(
+                plane_id, m, backend=backend, **plane_shape(m)
+            )
 
-                def corrupt(tag, outputs):
-                    outputs[0], outputs[1] = outputs[1], outputs[0]
-
-                plane.fabric.add_delivery_hook(corrupt)
-            return plane
-
-        async def scenario():
-            config = GatewayConfig(m=3, planes=2, queue_capacity=16)
-            rng = random.Random(23)
-            async with AsyncGateway(config, plane_factory=factory) as gateway:
-                receipts = await asyncio.gather(
-                    *(
-                        gateway.send_with_retry(
-                            rng.randrange(8), payload=index, attempts=64
-                        )
-                        for index in range(200)
-                    )
-                )
-                stats = gateway.stats()
-            return receipts, stats
-
-        receipts, stats = run_async(scenario())
+        receipts, stats = run_async(_serve(factory, seed=23))
         assert all(
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
@@ -133,75 +233,26 @@ class TestVectorPlaneSampling:
         assert stats["planes"][1]["healthy"] is True
         assert stats["queues"]["requeued"] > 0
 
+    def test_wrong_word_requeues_to_survivor(self, run_async, plane_shape):
+        def factory(plane_id, m):
+            backend = _OneWrongDestination(m) if plane_id == 0 else "bnb"
+            return BackendPlane(
+                plane_id, m, backend=backend, **plane_shape(m)
+            )
 
-class TestProcessPlanePool:
-    def test_pool_validation(self):
-        with pytest.raises(ValueError):
-            ProcessPlanePool(0, workers=1)
-        with pytest.raises(ValueError):
-            ProcessPlanePool(3, workers=0)
-
-    def test_factory_checks_size(self):
-        with ProcessPlanePool(3, workers=1) as pool:
-            with pytest.raises(ValueError):
-                pool.plane_factory(0, 4)
-
-    def test_gateway_delivers_over_worker_processes(self, run_async):
-        pool = ProcessPlanePool(3, workers=2)
-        try:
-
-            async def scenario():
-                config = GatewayConfig(m=3, planes=2, queue_capacity=16)
-                rng = random.Random(29)
-                async with AsyncGateway(
-                    config, plane_factory=pool.plane_factory
-                ) as gateway:
-                    receipts = await asyncio.gather(
-                        *(
-                            gateway.send_with_retry(
-                                rng.randrange(8), payload=index, attempts=64
-                            )
-                            for index in range(120)
-                        )
-                    )
-                    stats = gateway.stats()
-                return receipts, stats
-
-            receipts, stats = run_async(scenario())
-        finally:
-            pool.close()
+        log = _DeliveryLog()
+        receipts, stats = run_async(_serve(factory, seed=31, observer=log))
+        dead, survivor = stats["planes"]
+        assert dead["healthy"] is False
+        assert "outputs [7]" in dead["failure"]
+        # The dead plane's second frame was the corrupted one: every one
+        # of its words went back to the queues...
+        bad = set(log.dispatched[0][1])
+        assert bad <= set(log.requeued)
+        assert all(r.requeues >= 1 for r in receipts if r.payload in bad)
+        # ...and the other plane delivered every word to its sender.
         assert all(
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
-        assert stats["delivered_words"] == 120
-        kinds = {plane["kind"] for plane in stats["planes"]}
-        assert kinds == {"ProcessPlane"}
-        assert all(
-            plane["engine"] == "vector-process" for plane in stats["planes"]
-        )
-
-    def test_dead_worker_fails_plane_and_requeues(self):
-        n = 8
-        with ProcessPlanePool(3, workers=1) as pool:
-            plane = pool.planes[0]
-            scheduler = FrameScheduler(n)
-            voqs = VirtualOutputQueues(n, 16)
-            frame = _full_frame(scheduler, voqs, n)
-            plane._process.terminate()
-            plane._process.join(5)
-            plane.offer(frame)
-            requeue = []
-            for _ in range(200):
-                _completed, requeue = plane.step()
-                if requeue or not plane.healthy:
-                    break
-            assert plane.healthy is False
-            assert "worker" in plane.failure
-            assert len(requeue) == n
-
-    def test_close_is_idempotent_and_stops_workers(self):
-        pool = ProcessPlanePool(3, workers=2)
-        processes = [plane._process for plane in pool.planes]
-        pool.close()
-        pool.close()
-        assert all(not process.is_alive() for process in processes)
+        assert survivor["healthy"] is True
+        assert survivor["words_delivered"] == 200
