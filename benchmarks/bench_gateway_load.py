@@ -32,7 +32,7 @@ import time
 import pytest
 
 from repro.exceptions import AdmissionRejectedError
-from repro.server import AsyncGateway, GatewayConfig, QueueEntry
+from repro.server import AsyncGateway, GatewayConfig
 
 SWEEP_LOADS = (0.5, 1.0, 1.5)
 SWEEP_MS = (3, 4, 5)
@@ -52,7 +52,7 @@ def drive_open_loop(
 
     Returns steady-state measurements taken after *warmup* cycles.
     The harness drives :meth:`AsyncGateway.tick` directly (no event
-    loop): queue entries carry no future, so the accounting is exact
+    loop): admitted words have no owner, so the accounting is exact
     and the measurement is pure dataplane cost.
     """
     n = gateway.n
@@ -67,13 +67,7 @@ def drive_open_loop(
         while credit >= 1.0:
             credit -= 1.0
             try:
-                gateway.voqs.admit(
-                    QueueEntry(
-                        destination=rng.randrange(n),
-                        payload=None,
-                        enqueued_cycle=gateway.cycle,
-                    )
-                )
+                gateway.voqs.admit(rng.randrange(n), gateway.cycle)
             except AdmissionRejectedError:
                 pass
         gateway.tick()

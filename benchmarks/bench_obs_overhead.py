@@ -32,7 +32,7 @@ import time
 
 from repro.exceptions import AdmissionRejectedError
 from repro.obs import GatewayInstrumentation, Registry
-from repro.server import AsyncGateway, GatewayConfig, QueueEntry
+from repro.server import AsyncGateway, GatewayConfig
 
 from bench_gateway_load import drive_open_loop
 
@@ -74,13 +74,7 @@ def _cycle_times(gateway: AsyncGateway, seed: int = 1234) -> list:
         while credit >= 1.0:
             credit -= 1.0
             try:
-                gateway.voqs.admit(
-                    QueueEntry(
-                        destination=rng.randrange(n),
-                        payload=None,
-                        enqueued_cycle=gateway.cycle,
-                    )
-                )
+                gateway.voqs.admit(rng.randrange(n), gateway.cycle)
             except AdmissionRejectedError:
                 pass
         gateway.tick()

@@ -29,12 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from .analysis.tables import render_table1, render_table2
 from .analysis.verification import ROUTERS, verify_router
 from .bits import require_power_of_two
-from .exceptions import FaultError, ReproError
+from .exceptions import FaultError, InputError, ReproError
 from .permutations.generators import random_permutation
 
 __all__ = ["main", "build_parser"]
@@ -835,14 +835,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     require_power_of_two(args.n, "network size")
     m = args.n.bit_length() - 1
 
-    from .server import AsyncGateway, GatewayConfig, GatewayServer
+    from .server import AsyncGateway, GatewayServer
 
     tenants = None
     if args.tenants:
         from .traffic import parse_tenant_spec
 
         tenants = parse_tenant_spec(args.tenants)
-    config = GatewayConfig(
+    config = _gateway_config(
         m=m,
         planes=args.planes,
         queue_capacity=args.capacity,
@@ -1138,9 +1138,9 @@ def _command_stats(args: argparse.Namespace) -> int:
 
     from .obs import GatewayInstrumentation, Registry
     from .obs.snapshot import dump_json
-    from .server import AsyncGateway, GatewayConfig
+    from .server import AsyncGateway
 
-    config = GatewayConfig(m=m, engine=args.engine)
+    config = _gateway_config(m=m, engine=args.engine)
 
     async def _one_shot() -> dict:
         rng = random.Random(args.seed)
@@ -1278,7 +1278,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         require_power_of_two(n, "network size")
         m = n.bit_length() - 1
 
-        from .server import AsyncGateway, GatewayConfig
+        from .server import AsyncGateway
 
         weights = (
             dict(trace.tenants)
@@ -1287,7 +1287,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         )
         if len(weights) == 1 and all(w == 1 for w in weights.values()):
             weights = None  # one unweighted class: keep the bare hot path
-        config = GatewayConfig(
+        config = _gateway_config(
             m=m,
             planes=args.planes,
             queue_capacity=args.capacity,
@@ -1328,6 +1328,18 @@ _HANDLERS = {
     "stats": _command_stats,
     "replay": _command_replay,
 }
+
+
+def _gateway_config(**fields: Any):
+    """Build a :class:`~repro.server.GatewayConfig`; a combination it
+    refuses (``--resilient`` with a windowed engine, say) is an input
+    error — one ``error:`` line and exit 2 — not a traceback."""
+    from .server import GatewayConfig
+
+    try:
+        return GatewayConfig(**fields)
+    except ValueError as error:
+        raise InputError(str(error)) from None
 
 
 def main(argv: Optional[List[str]] = None) -> int:

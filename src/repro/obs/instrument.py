@@ -6,9 +6,14 @@ which hooks the dataplane offers and which metrics the catalog
 
 * **push** — it installs itself as the gateway's *observer* (the
   ``on_*`` methods below, called from ``send``/``tick``/``_resolve``).
-  Every push touch is O(1) per *frame* or per *event*, never per word:
-  at m=8 a frame carries 256 words, and a per-word histogram observe
-  would cost more than the vector engine's whole routing step.
+  The gateway calls them once per admission round (``on_reject``,
+  with the round's retry-after hints) or once per block of frames
+  (``on_dispatch``, ``on_frame_delivered``, ``on_requeue``), and each
+  touches its instruments with array operations
+  (:meth:`~repro.obs.registry.Histogram.observe_many`) — never once
+  per word: at m=8 a frame carries 256 words, and a per-word
+  histogram observe would cost more than the vector engine's whole
+  routing step.
 * **pull** — everything the components already count (VOQ admission
   totals, scheduler fill, plane health, the resilient fabric's service
   counters) is copied in by a collector that runs only when somebody
@@ -30,6 +35,9 @@ from .registry import (
     get_registry,
 )
 from .tracing import FrameTracer
+
+#: Columns of a block's word rows (``repro.server.voq``'s layout).
+CYCLE, REQUEUES = 2, 3
 
 __all__ = ["GatewayInstrumentation"]
 
@@ -277,49 +285,55 @@ class GatewayInstrumentation:
         return hook
 
     # ------------------------------------------------------------------
-    # Observer hooks (the gateway calls these; keep them O(1) per frame)
+    # Observer hooks (the gateway calls these once per admission round
+    # or per block; keep them O(1) per frame, never per word)
     # ------------------------------------------------------------------
-    def on_reject(self, entry, error) -> None:
-        self._rejects.inc()
-        self._retry_after.observe(error.retry_after_cycles)
+    def on_reject(self, hints) -> None:
+        """One admission round's rejections, as their retry-after hints."""
+        self._rejects.inc(len(hints))
+        self._retry_after.observe_many(hints)
 
-    def on_dispatch(self, frame, plane, cycle: int) -> None:
-        self._dispatches.labels(str(plane.plane_id)).inc()
+    def on_dispatch(self, block, plane, cycle: int) -> None:
+        self._dispatches.labels(str(plane.plane_id)).inc(block.k)
         tracer = self.tracer
-        if not tracer.wants(frame.tag):
-            return
-        entries = frame.entries.values()
-        tracer.record_dispatch(
-            frame.tag,
-            plane.plane_id,
-            cycle,
-            words=frame.active,
-            fill=frame.fill,
-            enqueued_cycle=(
-                min(entry.enqueued_cycle for entry in entries)
-                if frame.entries
-                else None
-            ),
-            coalesced_cycle=frame.scheduled_cycle,
-            requeues=max(
-                (entry.requeues for entry in entries), default=0
-            ),
-        )
+        every = tracer.sample_every
+        n = block.addresses.shape[1]
+        for j in range(-block.tag % every, block.k, every):
+            rows = block.words[block.frame_slice(j)]
+            count = int(block.counts[j])
+            tracer.record_dispatch(
+                block.tag + j,
+                plane.plane_id,
+                cycle,
+                words=count,
+                fill=count / n,
+                enqueued_cycle=int(rows[:, CYCLE].min()),
+                coalesced_cycle=block.scheduled_cycle,
+                requeues=int(rows[:, REQUEUES].max()),
+            )
 
-    def on_frame_delivered(
-        self, completion, cycle: int, max_latency: int
-    ) -> None:
-        frame = completion.frame
-        self._frames.labels(str(completion.plane_id), completion.mode).inc()
-        self._words.labels(completion.mode).inc(frame.active)
-        self._fill.observe(frame.fill)
-        self._frame_latency.observe(max_latency)
-        self.tracer.record_delivery(
-            frame.tag, cycle, mode=completion.mode, latency_cycles=max_latency
+    def on_frame_delivered(self, completion, cycle: int, worst) -> None:
+        """One delivered block; *worst* is each frame's worst word
+        latency in cycles."""
+        block = completion.block
+        self._frames.labels(str(completion.plane_id), completion.mode).inc(
+            block.k
         )
+        self._words.labels(completion.mode).inc(block.size)
+        self._fill.observe_many(block.fills)
+        self._frame_latency.observe_many(worst)
+        tracer = self.tracer
+        every = tracer.sample_every
+        for j in range(-block.tag % every, block.k, every):
+            tracer.record_delivery(
+                block.tag + j,
+                cycle,
+                mode=completion.mode,
+                latency_cycles=int(worst[j]),
+            )
 
-    def on_requeue(self, plane, entries) -> None:
-        self._requeued.inc(len(entries))
+    def on_requeue(self, plane, blocks) -> None:
+        self._requeued.inc(sum(block.size for block in blocks))
 
     def on_plane_killed(self, plane) -> None:
         self._kills.labels(str(plane.plane_id)).inc()

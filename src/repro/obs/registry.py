@@ -2,12 +2,13 @@
 
 The serving stack is pure CPU work on one event loop, so its telemetry
 can be, too: every instrument here is a plain Python object with a
-dict of label-children — no threads, no locks, no dependencies.  Two
-consumption styles coexist:
+dict of label-children — no threads, no locks, no dependency beyond
+numpy.  Two consumption styles coexist:
 
 * **push** — hot-path code calls ``counter.inc()`` / ``hist.observe``
   directly.  Each call is O(bucket scan) at worst, cheap enough for
-  per-frame (never per-word) events;
+  per-frame (never per-word) events; ``hist.observe_many`` takes a
+  whole block's values in one call;
 * **pull** — components that already keep counters (the VOQs, the
   scheduler, every plane) are *collected*: a callback registered with
   :meth:`Registry.register_collector` copies their snapshot counters
@@ -27,6 +28,8 @@ metric the serving stack emits lives in ``docs/observability.md``.
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -146,6 +149,24 @@ class _HistogramChild:
                 self.counts[index] += 1
                 return
         self.counts[-1] += 1
+
+    def observe_many(self, values: Any) -> None:
+        """Observe every value of *values*; the same counts, sum and
+        count as a loop of :meth:`observe` in order."""
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if not values.size:
+            return
+        # "value <= bound" picks the first bound not below the value;
+        # NaN sorts past every bound, into +Inf, as in observe().
+        buckets = np.bincount(
+            np.searchsorted(self.bounds, values, side="left"),
+            minlength=len(self.counts),
+        )
+        for index, count in enumerate(buckets.tolist()):
+            self.counts[index] += count
+        # A cumulative sum adds in order, like repeated ``+=``.
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+        self.count += int(values.size)
 
 
 class _Metric:
@@ -300,6 +321,9 @@ class Histogram(_Metric):
 
     def observe(self, value: float) -> None:
         self._default().observe(value)
+
+    def observe_many(self, values: Any) -> None:
+        self._default().observe_many(values)
 
     def render(self) -> List[str]:
         lines = [

@@ -6,11 +6,16 @@ keeps answering it forever, online, for concurrent clients:
 
 * :mod:`repro.server.voq` — per-destination **virtual output queues**
   with bounded-depth admission control (reject-with-retry-after, never
-  unbounded buffering);
+  unbounded buffering), kept as struct-of-arrays rings: one int64 row
+  per word (owner id, batch index, enqueue cycle, requeue count), so a
+  whole ``send_batch`` is admitted with array operations and no Python
+  object exists per word;
 * :mod:`repro.server.scheduler` — the **frame scheduler** that each
-  cycle coalesces queued words into a conflict-free full permutation
-  (one head-of-line word per destination, idle-filled via
-  :func:`~repro.core.traffic.complete_partial_permutation`);
+  cycle composes as many frames as a plane has room for into one
+  :class:`~repro.server.voq.Block`: frame ``j`` takes the ``j``-th
+  queued word of every destination (a conflict-free partial
+  permutation) and idle-fills the rest, laid out as
+  :func:`~repro.core.traffic.coalesce_frame` would;
 * :mod:`repro.server.planes` — **fabric planes**:
   :class:`~repro.server.planes.BackendPlane` routes frames through a
   compiled routing backend and verifies every one in full, either one
@@ -23,7 +28,9 @@ keeps answering it forever, online, for concurrent clients:
   together: ``await gateway.send(dest, payload)`` returns a delivery
   receipt, ``await gateway.send_batch(dests)`` a per-word
   :class:`~repro.server.gateway.BatchResult`; a clock task schedules
-  frames onto the least-loaded plane;
+  blocks onto the least-loaded plane, and each delivered block is
+  scattered into its owners' result arrays (or resolves a single
+  send's future);
 * :mod:`repro.server.ops` — the **declarative op registry** every wire
   framing dispatches through (one :class:`~repro.server.ops.OpSpec`
   per protocol operation, stable error-slug mapping);
@@ -50,25 +57,25 @@ from .gateway import (
 from .ops import REGISTRY, OpSpec
 from .planes import BackendPlane, ResilientPlane
 from .protocol import GatewayServer
-from .scheduler import FrameScheduler, ScheduledFrame
-from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
+from .scheduler import FrameScheduler
+from .voq import DEFAULT_TENANT, NO_OWNER, Block, VirtualOutputQueues
 
 __all__ = [
     "AsyncGateway",
     "DEFAULT_TENANT",
     "BatchResult",
     "BackendPlane",
+    "Block",
     "GatewayConfig",
     "GatewayServer",
     "FrameScheduler",
     "MAGIC",
+    "NO_OWNER",
     "OpSpec",
     "PROTOCOL_VERSION",
-    "QueueEntry",
     "REGISTRY",
     "Receipt",
     "ResilientPlane",
-    "ScheduledFrame",
     "VirtualOutputQueues",
     "engine_names",
 ]

@@ -20,7 +20,7 @@ import asyncio
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,15 @@ from ..backends import backend_names, compiled_backend, prewarm, select_backend
 from ..service import ResilientVectorFabric
 from .planes import BackendPlane, CompletedFrame, ResilientPlane
 from .scheduler import FrameScheduler
-from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
+from .voq import (
+    CYCLE,
+    DEFAULT_TENANT,
+    INDEX,
+    OWNER,
+    REQUEUES,
+    Block,
+    VirtualOutputQueues,
+)
 
 __all__ = [
     "AsyncGateway",
@@ -243,7 +251,7 @@ class BatchResult:
 
 
 class _BatchTracker:
-    """Gateway-internal progress of one in-flight batch.
+    """Gateway-internal progress of one in-flight batch (an owner).
 
     ``open`` stays true while :meth:`AsyncGateway.send_batch` is still
     admitting (including its retry rounds), so a batch whose early
@@ -258,6 +266,37 @@ class _BatchTracker:
         self.future = future
         self.pending = 0
         self.open = True
+
+
+class _Sender:
+    """The owner of one word admitted by :meth:`AsyncGateway.send`:
+    what its :class:`Receipt` needs besides the delivery itself."""
+
+    __slots__ = ("future", "destination", "payload")
+
+    def __init__(
+        self, future: "asyncio.Future", destination: int, payload: Any
+    ) -> None:
+        self.future = future
+        self.destination = destination
+        self.payload = payload
+
+
+def _extend_by_frame(
+    samples: List[int], values: np.ndarray, frame_ends: Any, window: int
+) -> None:
+    """Append one block's latency *values* to *samples*, keeping the
+    per-frame retention rule: whenever the list passes ``2 * window``
+    after a frame, only its last *window* samples stay."""
+    if len(samples) + len(values) <= 2 * window:
+        samples.extend(values.tolist())
+        return
+    start = 0
+    for end in frame_ends:
+        samples.extend(values[start:end].tolist())
+        start = end
+        if len(samples) > 2 * window:
+            del samples[:-window]
 
 
 class AsyncGateway:
@@ -334,7 +373,10 @@ class AsyncGateway:
             else {}
         )
         self._mode_counts: Dict[str, int] = {}
-        self._batch_trackers: Set[_BatchTracker] = set()
+        #: Owners of queued and in-flight words by owner id: a
+        #: ``send_batch`` tracker or a single ``send``'s sender.
+        self._owners: Dict[int, Any] = {}
+        self._next_owner = 0
         self._accepting = False
         self._draining = False
         self._started_monotonic: Optional[float] = None
@@ -372,9 +414,9 @@ class AsyncGateway:
                 await task
             except asyncio.CancelledError:
                 pass
-        self._fail_stranded(
-            self.voqs.drain_all(),
-            GatewayClosedError("shut down with words still queued"),
+        self.voqs.drain_all()
+        self._fail_owners(
+            GatewayClosedError("shut down with words still queued")
         )
         for target, future in self._cycle_waiters:
             if not future.done():
@@ -438,8 +480,8 @@ class AsyncGateway:
 
         *tenant* names the word's QoS class when the gateway was
         configured with :attr:`GatewayConfig.tenants`; unnamed words
-        ride the ``"default"`` class and the field is inert (stored,
-        never consulted) on an untenanted gateway.
+        ride the ``"default"`` class and the field is inert (ignored)
+        on an untenanted gateway.
 
         Raises :class:`AdmissionRejectedError` (with a retry-after hint
         in cycles) under backpressure, :class:`InputError` for a bad
@@ -458,21 +500,23 @@ class AsyncGateway:
             )
         if not any(plane.healthy for plane in self.planes):
             raise PlaneUnavailableError(len(self.planes))
-        entry = QueueEntry(
-            destination=destination,
-            payload=payload,
-            enqueued_cycle=self.cycle,
-            future=asyncio.get_running_loop().create_future(),
-            tenant=tenant if tenant is not None else DEFAULT_TENANT,
-        )
+        future = asyncio.get_running_loop().create_future()
+        owner = self._add_owner(_Sender(future, destination, payload))
         try:
-            self.voqs.admit(entry)  # raises AdmissionRejectedError when full
+            # Raises AdmissionRejectedError when the queue is full.
+            self.voqs.admit(
+                destination,
+                self.cycle,
+                owner,
+                tenant if tenant is not None else DEFAULT_TENANT,
+            )
         except AdmissionRejectedError as error:
+            del self._owners[owner]
             if self.observer is not None:
-                self.observer.on_reject(entry, error)
+                self.observer.on_reject([error.retry_after_cycles])
             raise
         self._work.set()
-        return await entry.future
+        return await future
 
     async def send_with_retry(
         self,
@@ -560,16 +604,14 @@ class AsyncGateway:
         tracker = _BatchTracker(
             result, asyncio.get_running_loop().create_future()
         )
-        self._batch_trackers.add(tracker)
-        dest_list = dests.tolist()  # one C pass beats a per-word int() each
-        payload_list = None if payloads is None else list(payloads)
+        owner = self._add_owner(tracker)
         tenant_name = tenant if tenant is not None else DEFAULT_TENANT
         try:
             rejected = self._admit_batch_round(
-                tracker, dest_list, payload_list, range(count), tenant_name
+                owner, tracker, dests, None, tenant_name
             )
             for _attempt in range(retry_attempts):
-                if not rejected:
+                if not len(rejected):
                     break
                 wait = max(
                     1, int(result.retry_after[rejected].max(initial=0))
@@ -583,12 +625,11 @@ class AsyncGateway:
                     # backlog the drain is waiting out.
                     result.retry_after[rejected] = self._drain_hint_cycles()
                     break
-                # Clear the stale hints before re-offering: the VOQ
-                # accept path never writes zeros (see admit_batch), so
-                # a word accepted on retry keeps hint 0 from here.
+                # Clear the stale hints before re-offering: a word
+                # accepted on retry keeps hint 0 from here.
                 result.retry_after[rejected] = 0
                 rejected = self._admit_batch_round(
-                    tracker, dest_list, payload_list, rejected, tenant_name
+                    owner, tracker, dests, rejected, tenant_name
                 )
             tracker.open = False
             if tracker.pending == 0 and not tracker.future.done():
@@ -596,51 +637,37 @@ class AsyncGateway:
             self._work.set()
             return await tracker.future
         finally:
-            self._batch_trackers.discard(tracker)
+            self._owners.pop(owner, None)
+
+    def _add_owner(self, owner: Any) -> int:
+        owner_id = self._next_owner
+        self._next_owner += 1
+        self._owners[owner_id] = owner
+        return owner_id
 
     def _admit_batch_round(
         self,
+        owner: int,
         tracker: _BatchTracker,
-        dests: List[int],
-        payloads: Optional[Sequence[Any]],
-        indices: Any,
+        dests: np.ndarray,
+        indices: Optional[np.ndarray],
         tenant: str = DEFAULT_TENANT,
-    ) -> List[int]:
-        """Offer the words at *indices* to the VOQs; return the rejects.
+    ) -> np.ndarray:
+        """Offer the words at *indices* (all when ``None``) to the
+        VOQs; return the rejects.
 
         Synchronous on purpose: no await happens between the first and
         last admission of a round, so deliveries cannot interleave with
         the bookkeeping.
         """
-        result = tracker.result
-        admitted, rejected = self.voqs.admit_batch(
-            dests,
-            payloads,
-            self.cycle,
-            tracker,
-            result.retry_after,
-            indices,
-            tenant,
+        accepted, rejected, hints = self.voqs.admit_batch(
+            dests, self.cycle, owner, indices, tenant
         )
-        tracker.pending += admitted
-        if rejected and self.observer is not None:
-            retry_after = result.retry_after
-            for index in rejected:
-                destination = dests[index]
-                hint = int(retry_after[index])
-                self.observer.on_reject(
-                    QueueEntry(
-                        destination,
-                        None if payloads is None else payloads[index],
-                        self.cycle,
-                        None,
-                        0,
-                        tracker,
-                        index,
-                        tenant,
-                    ),
-                    AdmissionRejectedError(destination, hint, hint),
-                )
+        tracker.pending += len(accepted)
+        if len(rejected):
+            tracker.result.retry_after[rejected] = hints
+            if self.observer is not None:
+                self.observer.on_reject(hints)
         self._work.set()
         return rejected
 
@@ -664,13 +691,14 @@ class AsyncGateway:
         was_healthy = plane.healthy
         stranded = plane.kill(reason=reason)
         self.voqs.requeue_front(stranded)
+        words = sum(block.size for block in stranded)
         if self.observer is not None:
-            if stranded:
+            if words:
                 self.observer.on_requeue(plane, stranded)
             if was_healthy:
                 self.observer.on_plane_killed(plane)
         self._work.set()
-        return len(stranded)
+        return words
 
     def inject_fault(
         self, plane_id: int, coordinate: Any, value: int
@@ -708,19 +736,17 @@ class AsyncGateway:
             )
         return self.planes[plane_id]
 
-    def _fail_stranded(self, entries: List[QueueEntry], failure: Exception) -> None:
-        """Fail every stranded waiter: per-word futures and whole batches.
+    def _fail_owners(self, failure: Exception) -> None:
+        """Fail every owner still waiting: single sends and whole batches.
 
         A batch tracker fails as a unit — one exception wakes its
         ``send_batch`` — because its preallocated result is meaningless
         once any of its words can no longer be delivered.
         """
-        for entry in entries:
-            if entry.future is not None and not entry.future.done():
-                entry.future.set_exception(failure)
-        for tracker in list(self._batch_trackers):
-            if not tracker.future.done():
-                tracker.future.set_exception(failure)
+        owners, self._owners = self._owners, {}
+        for owner in owners.values():
+            if not owner.future.done():
+                owner.future.set_exception(failure)
 
     # ------------------------------------------------------------------
     # The clock
@@ -752,10 +778,10 @@ class AsyncGateway:
             # loudly instead and refuse further traffic.
             self._accepting = False
             failure = GatewayClosedError(f"clock task crashed: {error!r}")
-            stranded = self.voqs.drain_all()
+            self.voqs.drain_all()
             for plane in self.planes:
-                stranded.extend(plane.kill(reason="clock crash"))
-            self._fail_stranded(stranded, failure)
+                plane.kill(reason="clock crash")
+            self._fail_owners(failure)
             for _target, future in self._cycle_waiters:
                 if not future.done():
                     future.set_exception(failure)
@@ -767,7 +793,8 @@ class AsyncGateway:
         directly; the clock task calls it between awaits)."""
         self.cycle += 1
         healthy = [plane for plane in self.planes if plane.healthy]
-        # Dispatch: least-loaded ready planes first, while backlog remains.
+        # Dispatch: least-loaded ready planes first, while backlog
+        # remains; each takes one block of as many frames as it has free.
         ready = sorted(
             (plane for plane in healthy if plane.ready),
             key=lambda plane: plane.load,
@@ -775,25 +802,19 @@ class AsyncGateway:
         for plane in ready:
             if not self.voqs.total:
                 break
-            # A plane that stays ready after a frame (a windowed plane
-            # buffering toward its window) keeps taking frames, so one
-            # tick can hand it a whole batch.
-            while plane.ready and self.voqs.total:
-                frame = self.scheduler.next_frame(self.voqs, self.cycle)
-                if frame is None:
-                    break
-                plane.offer(frame)
-                if self.observer is not None:
-                    self.observer.on_dispatch(frame, plane, self.cycle)
+            block = self.scheduler.next_frame(self.voqs, self.cycle, plane.free)
+            plane.offer(block)
+            if self.observer is not None:
+                self.observer.on_dispatch(block, plane, self.cycle)
         # Clock every healthy plane; collect deliveries and casualties.
         for plane in healthy:
-            completed, requeue = plane.step()
+            completed, stranded = plane.step()
             for completion in completed:
                 self._resolve(completion)
-            if requeue:
-                self.voqs.requeue_front(requeue)
+            if stranded:
+                self.voqs.requeue_front(stranded)
                 if self.observer is not None:
-                    self.observer.on_requeue(plane, requeue)
+                    self.observer.on_requeue(plane, stranded)
             # A plane that was healthy entering the tick and is not now
             # was killed by its own step(); report it exactly once.
             if not plane.healthy and self.observer is not None:
@@ -810,81 +831,168 @@ class AsyncGateway:
             self._cycle_waiters = still_waiting
 
     def _resolve(self, completion: CompletedFrame) -> None:
-        frame = completion.frame
-        self.delivered_frames += 1
-        self._mode_counts[completion.mode] = (
-            self._mode_counts.get(completion.mode, 0) + 1
-        )
-        worst_latency = 0
-        plane_id = completion.plane_id
+        """Deliver one block: account it, then resolve its owners.
+
+        The block's words group by owner — one equality test when the
+        whole block has a single owner, as on bulk traffic — and each
+        ``send_batch`` tracker gets its words scattered into its result
+        arrays in a few fancy-indexed stores; a single ``send``'s word
+        resolves its future with a :class:`Receipt`.  Words with no
+        owner in the table (the bench harnesses' words, or a batch
+        whose caller went away) are counted and timed only.
+        """
+        block = completion.block
+        words = block.words
+        frames = block.k
         mode = completion.mode
         cycle = self.cycle
-        tag = frame.tag
-        entries = frame.entries
-        self.delivered_words += len(entries)
-        latency_samples = self._latencies
-        tenant_samples = self._tenant_latencies
-        tenant_delivered = self._tenant_delivered
-        # Batch words resolve per *frame*, not per word: indices and
-        # latencies group by tracker, then land in the preallocated
-        # result arrays as a handful of fancy-indexed stores.
-        groups: Dict[Any, Any] = {}
-        for destination, entry in entries.items():
-            latency = cycle - entry.enqueued_cycle
-            if latency > worst_latency:
-                worst_latency = latency
-            latency_samples.append(latency)
-            if tenant_samples is not None:
-                tenant = entry.tenant
-                samples = tenant_samples.get(tenant)
-                if samples is None:
-                    samples = tenant_samples[tenant] = []
-                    tenant_delivered[tenant] = 0
-                samples.append(latency)
-                tenant_delivered[tenant] += 1
-            tracker = entry.batch
-            if tracker is not None:
-                group = groups.get(tracker)
-                if group is None:
-                    groups[tracker] = group = ([], [])
-                group[0].append(entry.batch_index)
-                group[1].append(latency)
-            elif entry.future is not None and not entry.future.done():
-                entry.future.set_result(
-                    Receipt(
-                        destination=destination,
-                        payload=entry.payload,
-                        plane_id=plane_id,
-                        frame_tag=tag,
-                        enqueued_cycle=entry.enqueued_cycle,
-                        delivered_cycle=cycle,
-                        mode=mode,
-                        requeues=entry.requeues,
-                    )
-                )
-        for tracker, (indices, latencies) in groups.items():
-            result = tracker.result
-            result.statuses[indices] = 1
-            result.planes[indices] = plane_id
-            result.frames[indices] = tag
-            result.latencies[indices] = latencies
-            result.modes[indices] = result.mode_index(mode)
-            tracker.pending -= len(indices)
-            if (
-                tracker.pending == 0
-                and not tracker.open
-                and not tracker.future.done()
-            ):
-                tracker.future.set_result(result)
-        if self.observer is not None:
-            self.observer.on_frame_delivered(completion, self.cycle, worst_latency)
+        self.delivered_frames += frames
+        self.delivered_words += len(words)
+        self._mode_counts[mode] = self._mode_counts.get(mode, 0) + frames
+        if len(words) == 1:
+            self._resolve_one(completion, words[0].tolist())
+            return
+        latencies = cycle - words[:, CYCLE]
         window = self.config.latency_window
-        if len(self._latencies) > 2 * window:
-            del self._latencies[:-window]
-        if tenant_samples is not None:
-            for samples in tenant_samples.values():
-                if len(samples) > 2 * window:
-                    del samples[:-window]
+        ends = np.cumsum(block.counts)
+        _extend_by_frame(self._latencies, latencies, ends.tolist(), window)
+        if self._tenant_latencies is not None:
+            self._account_tenants(block, latencies, window)
+        owners = words[:, OWNER]
+        first = owners[0]
+        if (owners == first).all():
+            groups = [(int(first), None)]
+        else:
+            order = np.argsort(owners, kind="stable")
+            splits = np.flatnonzero(np.diff(owners[order])) + 1
+            groups = [
+                (int(owners[rows[0]]), rows)
+                for rows in np.split(order, splits)
+            ]
+        plane_id = completion.plane_id
+        for owner_id, rows in groups:
+            owner = self._owners.get(owner_id)
+            if owner is None:
+                continue
+            if isinstance(owner, _BatchTracker):
+                result = owner.result
+                picked = words if rows is None else words[rows]
+                index = picked[:, INDEX]
+                result.statuses[index] = 1
+                result.planes[index] = plane_id
+                result.frames[index] = block.tag + (
+                    block.frame_of if rows is None else block.frame_of[rows]
+                )
+                result.latencies[index] = (
+                    latencies if rows is None else latencies[rows]
+                )
+                result.modes[index] = result.mode_index(mode)
+                owner.pending -= len(index)
+                if (
+                    owner.pending == 0
+                    and not owner.open
+                    and not owner.future.done()
+                ):
+                    owner.future.set_result(result)
+            else:
+                row = 0 if rows is None else int(rows[0])
+                self._deliver_send(
+                    owner_id,
+                    owner,
+                    completion,
+                    block.tag + int(block.frame_of[row]),
+                    words[row].tolist(),
+                )
+        if self.observer is not None:
+            self.observer.on_frame_delivered(
+                completion,
+                cycle,
+                np.maximum.reduceat(latencies, ends - block.counts),
+            )
+
+    def _resolve_one(self, completion: CompletedFrame, row: List[int]) -> None:
+        """The one-word block (the unicast hot path), on scalars."""
+        block = completion.block
+        owner_id, index, enqueued, _requeues = row
+        latency = self.cycle - enqueued
+        window = self.config.latency_window
+        samples = self._latencies
+        samples.append(latency)
+        if len(samples) > 2 * window:
+            del samples[:-window]
+        if self._tenant_latencies is not None:
+            tid = 0 if block.tenants is None else int(block.tenants[0])
+            name = self.voqs.tenant_names[tid]
+            tenant_samples = self._tenant_samples(name)
+            self._tenant_delivered[name] += 1
+            tenant_samples.append(latency)
+            if len(tenant_samples) > 2 * window:
+                del tenant_samples[:-window]
+        owner = self._owners.get(owner_id)
+        if isinstance(owner, _BatchTracker):
+            result = owner.result
+            result.statuses[index] = 1
+            result.planes[index] = completion.plane_id
+            result.frames[index] = block.tag
+            result.latencies[index] = latency
+            result.modes[index] = result.mode_index(completion.mode)
+            owner.pending -= 1
+            if owner.pending == 0 and not owner.open and not owner.future.done():
+                owner.future.set_result(result)
+        elif owner is not None:
+            self._deliver_send(owner_id, owner, completion, block.tag, row)
+        if self.observer is not None:
+            self.observer.on_frame_delivered(completion, self.cycle, [latency])
+
+    def _deliver_send(
+        self,
+        owner_id: int,
+        sender: _Sender,
+        completion: CompletedFrame,
+        tag: int,
+        row: List[int],
+    ) -> None:
+        del self._owners[owner_id]
+        if not sender.future.done():
+            sender.future.set_result(
+                Receipt(
+                    destination=sender.destination,
+                    payload=sender.payload,
+                    plane_id=completion.plane_id,
+                    frame_tag=tag,
+                    enqueued_cycle=row[CYCLE],
+                    delivered_cycle=self.cycle,
+                    mode=completion.mode,
+                    requeues=row[REQUEUES],
+                )
+            )
+
+    def _tenant_samples(self, tenant: str) -> List[int]:
+        """The latency samples of *tenant*, created on its first word."""
+        assert self._tenant_latencies is not None
+        samples = self._tenant_latencies.get(tenant)
+        if samples is None:
+            samples = self._tenant_latencies[tenant] = []
+            self._tenant_delivered[tenant] = 0
+        return samples
+
+    def _account_tenants(
+        self, block: Block, latencies: np.ndarray, window: int
+    ) -> None:
+        """Per-tenant delivery counts and latency samples of one block."""
+        names = self.voqs.tenant_names
+        tids = block.tenants
+        for tid in ([0] if tids is None else np.unique(tids).tolist()):
+            name = names[tid]
+            samples = self._tenant_samples(name)
+            if tids is None:
+                values, frame_of = latencies, block.frame_of
+            else:
+                mine = tids == tid
+                values, frame_of = latencies[mine], block.frame_of[mine]
+            ends = np.cumsum(np.bincount(frame_of, minlength=block.k)).tolist()
+            _extend_by_frame(samples, values, ends, window)
+            self._tenant_delivered[name] += len(values)
 
     # ------------------------------------------------------------------
     # Stats

@@ -287,6 +287,24 @@ class TestServe:
         assert main(["serve", "12"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "8", "--resilient", "--engine", "batch"],
+            ["serve", "8", "--capacity", "0"],
+            ["replay", "8", "--capacity", "0"],
+        ],
+        ids=["serve-resilient-batch", "serve-capacity", "replay-capacity"],
+    )
+    def test_refused_gateway_config_is_one_line_exit_2(self, capsys, argv):
+        """A configuration ``GatewayConfig`` refuses reaches the shell
+        as one ``error:`` line with exit 2, never a traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestKeyboardInterrupt:
     def test_sigint_exits_130(self, capsys, monkeypatch):

@@ -5,9 +5,13 @@ exactly — exposition is an external contract (scrapers parse it), so a
 formatting drift must fail loudly, not silently reshape dashboards.
 """
 
+import asyncio
 import json
 import math
+import pathlib
+import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import AdmissionRejectedError
@@ -23,7 +27,7 @@ from repro.obs import (
     set_registry,
 )
 from repro.obs.snapshot import dump_json, sanitize
-from repro.server import AsyncGateway, GatewayConfig, QueueEntry
+from repro.server import AsyncGateway, GatewayConfig
 
 
 class TestRegistrySemantics:
@@ -128,6 +132,38 @@ class TestHistogramBucketing:
         hist = Registry().histogram("repro_h_cycles")
         assert hist.bounds == CYCLE_BUCKETS
 
+    def test_observe_many_equals_a_loop_of_observe(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate(
+            (
+                rng.random(200) * 2000,
+                rng.integers(0, 40, 100),
+                [0.0, 1.0, 1024.0, 1024.5, -3.0, math.inf, math.nan],
+            )
+        )
+        one, many = Registry(), Registry()
+        looped = one.histogram("repro_h_cycles")
+        batched = many.histogram("repro_h_cycles")
+        looped.observe(0.1)
+        batched.observe(0.1)
+        for value in values:
+            looped.observe(value)
+        batched.observe_many(values)
+        batched.observe_many([])
+        assert batched.labels().counts == looped.labels().counts
+        assert batched.labels().count == looped.labels().count
+        # The sum is added in order, so it matches to the last bit.
+        assert np.isnan(looped.labels().sum) and np.isnan(batched.labels().sum)
+        finite = values[np.isfinite(values)]
+        one, many = Registry(), Registry()
+        one.histogram("repro_r_ratio", buckets=(0.25, 0.5))
+        for value in finite:
+            one.histogram("repro_r_ratio").observe(value / 7)
+        many.histogram("repro_r_ratio", buckets=(0.25, 0.5)).observe_many(
+            finite / 7
+        )
+        assert one.render_prometheus() == many.render_prometheus()
+
 
 class TestGoldenOutputs:
     @pytest.fixture
@@ -199,6 +235,92 @@ class TestGoldenOutputs:
             'a"b\\c\nd'
         ).inc()
         assert 'k="a\\"b\\\\c\\nd"' in registry.render_prometheus()
+
+
+def _tenanted_exposition():
+    """Prometheus text of a fixed tenanted run: rejections with
+    retries, single sends, starvation rescues and a mid-run kill of a
+    pipelined plane.  Per-process lines (uptime, node id) are dropped."""
+    rng = random.Random(2024)
+    n = 8
+    mixes = [
+        ("gold", [rng.randrange(n) for _ in range(120)], 6),
+        ("bronze", [rng.randrange(n) for _ in range(90)], 6),
+        ("gold", [rng.randrange(2) for _ in range(40)], 2),
+        ("walkin", [rng.randrange(n) for _ in range(30)], 8),
+    ]
+    singles = [(rng.randrange(n), ("gold", "bronze")[k % 2]) for k in range(24)]
+
+    async def scenario():
+        config = GatewayConfig(
+            m=3,
+            planes=2,
+            queue_capacity=6,
+            engine="vector",
+            tenants={"gold": 5, "bronze": 2},
+            starvation_cycles=3,
+        )
+        gateway = AsyncGateway(config)
+        instrumentation = GatewayInstrumentation(
+            gateway, registry=Registry(), trace_sample_every=3
+        ).attach()
+
+        async def batch(tenant, dests, retry, delay):
+            for _ in range(delay):
+                await asyncio.sleep(0)
+            await gateway.send_batch(
+                np.array(dests, dtype=np.int64),
+                retry_attempts=retry,
+                tenant=tenant,
+            )
+
+        async def single(dest, tenant, delay):
+            for _ in range(delay):
+                await asyncio.sleep(0)
+            await gateway.send_with_retry(dest, attempts=64, tenant=tenant)
+
+        async def kill():
+            await gateway.wait_cycles(7)
+            gateway.kill_plane(0, reason="scenario kill")
+
+        async with gateway:
+            # Every class first queues at every destination in
+            # registration order, so no credit tie depends on FIFO
+            # creation order.
+            await batch("gold", list(range(n)), 0, 0)
+            await batch("bronze", list(range(n)), 0, 0)
+            await asyncio.gather(
+                kill(),
+                *(
+                    batch(tenant, dests, retry, 1 + k)
+                    for k, (tenant, dests, retry) in enumerate(mixes)
+                ),
+                *(
+                    single(dest, tenant, 2 + k % 3)
+                    for k, (dest, tenant) in enumerate(singles)
+                ),
+            )
+        return instrumentation.render_prometheus()
+
+    text = asyncio.run(scenario())
+    return "\n".join(
+        line
+        for line in text.splitlines()
+        if "uptime" not in line and "node_info" not in line
+    ) + "\n"
+
+
+class TestExpositionParity:
+    def test_tenanted_scenario_matches_the_per_word_dataplane(self):
+        """Every ``repro_*`` series of a fixed tenanted scenario keeps
+        its value: ``prometheus_tenanted.txt`` was rendered by the 2.0.0
+        dataplane (one queue entry per word, per-frame hooks), and the
+        array-native path with per-block hooks reproduces it byte for
+        byte — histogram buckets and sums included."""
+        golden = pathlib.Path(__file__).parent / "data" / "prometheus_tenanted.txt"
+        text = _tenanted_exposition()
+        assert "repro_tenant_starvation_rescues_total" in text
+        assert text == golden.read_text()
 
 
 class TestSnapshotSerialization:
@@ -317,13 +439,7 @@ def _drive(gateway, words=64, seed=7):
     while pushed < words and guard < 10_000:
         guard += 1
         try:
-            gateway.voqs.admit(
-                QueueEntry(
-                    destination=rng.randrange(gateway.n),
-                    payload=None,
-                    enqueued_cycle=gateway.cycle,
-                )
-            )
+            gateway.voqs.admit(rng.randrange(gateway.n), gateway.cycle)
             pushed += 1
         except AdmissionRejectedError:
             pass
@@ -412,13 +528,7 @@ class TestGatewayInstrumentation:
                 # Fill destination 1's single slot, then send to it with
                 # no intervening await: the clock task cannot run in
                 # between, so the rejection is deterministic.
-                gateway.voqs.admit(
-                    QueueEntry(
-                        destination=1,
-                        payload=None,
-                        enqueued_cycle=gateway.cycle,
-                    )
-                )
+                gateway.voqs.admit(1, gateway.cycle)
                 with pytest.raises(AdmissionRejectedError):
                     await gateway.send(1)
             return instr

@@ -545,6 +545,25 @@ class TestShutdown:
             )
         assert stats["queues"]["queued"] == 0
 
+    def test_stop_without_drain_fails_words_inside_planes(self, run_async):
+        """A word riding a pipelined plane when the gateway stops
+        without draining can never be delivered: its sender gets
+        GatewayClosedError instead of waiting forever."""
+
+        async def scenario():
+            config = GatewayConfig(m=3, planes=1, engine="vector")
+            gateway = AsyncGateway(config)
+            await gateway.start()
+            task = asyncio.ensure_future(gateway.send(5, payload="x"))
+            await asyncio.sleep(0)  # admitted
+            await gateway.wait_cycles(1)  # dispatched, m cycles to go
+            assert gateway.planes[0].in_flight == 1
+            await gateway.stop(drain=False)
+            with pytest.raises(GatewayClosedError):
+                await asyncio.wait_for(task, 5.0)
+
+        run_async(scenario())
+
     def test_stats_are_json_safe(self, run_async):
         import json
 

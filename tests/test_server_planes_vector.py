@@ -21,7 +21,7 @@ from repro.server import (
     GatewayConfig,
     VirtualOutputQueues,
 )
-from repro.server.voq import QueueEntry
+from repro.server.voq import OWNER
 
 pytestmark = pytest.mark.asyncio_suite
 
@@ -38,15 +38,12 @@ def plane_shape(request):
 
 
 def _full_frame(scheduler, voqs, n, cycle=1):
+    """A one-frame block carrying a word for every destination."""
     for destination in range(n):
-        voqs.admit(
-            QueueEntry(
-                destination=destination, payload=None, enqueued_cycle=0
-            )
-        )
-    frame = scheduler.next_frame(voqs, cycle)
-    assert frame is not None and frame.active == n
-    return frame
+        voqs.admit(destination, 0)
+    block = scheduler.next_frame(voqs, cycle)
+    assert block is not None and block.k == 1 and block.size == n
+    return block
 
 
 class _OneWrongDestination:
@@ -100,7 +97,7 @@ class TestBackendPlane:
             completed, requeue = plane.step()
             assert not requeue
             for completion in completed:
-                delivered_at[completion.frame.tag] = step
+                delivered_at[completion.block.tag] = step
             if step == m:
                 assert plane.in_flight == m  # m frames in the pipeline
         assert delivered_at == {0: 1 + m, 1: 2 + m, 2: 3 + m}
@@ -120,7 +117,7 @@ class TestBackendPlane:
         for cycle in range(5):
             plane.offer(_full_frame(scheduler, voqs, n, cycle=cycle))
         completed, requeue = plane.step()
-        assert [c.frame.tag for c in completed] == [0, 1, 2, 3, 4]
+        assert [c.block.tag for c in completed] == [0, 1, 2, 3, 4]
         assert not requeue
         assert plane.batches_routed == 1
         assert plane.in_flight == 0
@@ -136,7 +133,8 @@ class TestBackendPlane:
             plane.step()  # routed and held
         plane.offer(_full_frame(scheduler, voqs, n, cycle=2))  # buffered
         stranded = plane.kill(reason="test")
-        assert len(stranded) == 3 * n
+        assert [block.tag for block in stranded] == [0, 1, 2]  # oldest first
+        assert sum(block.size for block in stranded) == 3 * n
         assert plane.in_flight == 0 and not plane.ready
         assert plane.step() == ([], [])
         assert plane.kill() == []  # idempotent
@@ -162,27 +160,37 @@ class TestBackendPlane:
         assert f"outputs [{n - 1}]" in plane.failure
         # The bad frame's words requeue, with everything else inside.
         requeue = steps[-1][1]
-        bad = {id(entry) for entry in frames[1].entries.values()}
-        assert bad <= {id(entry) for entry in requeue}
-        assert len(requeue) == 2 * n
+        assert frames[1] in requeue
+        assert sum(block.size for block in requeue) == 2 * n
 
 
 class _DeliveryLog:
-    """A gateway observer recording dispatched and requeued payloads."""
+    """A gateway observer recording dispatched and requeued payloads.
+
+    Words carry owner ids; a single ``send``'s owner holds its payload,
+    so the log reads payloads through the gateway's owner table.
+    """
 
     def __init__(self):
+        self.gateway = None
         self.dispatched = {}  # plane id -> payload lists, one per frame
         self.requeued = []
 
-    def on_dispatch(self, frame, plane, cycle):
-        self.dispatched.setdefault(plane.plane_id, []).append(
-            [entry.payload for entry in frame.entries.values()]
-        )
+    def _payloads(self, rows):
+        owners = self.gateway._owners
+        return [owners[owner].payload for owner in rows[:, OWNER].tolist()]
 
-    def on_requeue(self, plane, entries):
-        self.requeued.extend(entry.payload for entry in entries)
+    def on_dispatch(self, block, plane, cycle):
+        for j in range(block.k):
+            self.dispatched.setdefault(plane.plane_id, []).append(
+                self._payloads(block.words[block.frame_slice(j)])
+            )
 
-    def on_reject(self, entry, error):
+    def on_requeue(self, plane, blocks):
+        for block in blocks:
+            self.requeued.extend(self._payloads(block.words))
+
+    def on_reject(self, hints):
         pass
 
     def on_frame_delivered(self, completion, cycle, max_latency):
@@ -198,6 +206,8 @@ def _serve(factory, seed, words=200, observer=None):
         rng = random.Random(seed)
         async with AsyncGateway(config, plane_factory=factory) as gateway:
             gateway.observer = observer
+            if observer is not None:
+                observer.gateway = gateway
             receipts = await asyncio.gather(
                 *(
                     gateway.send_with_retry(

@@ -4,16 +4,17 @@ import pytest
 
 from repro.core.bnb import BNBNetwork
 from repro.core.traffic import coalesce_frame
+from repro.core.words import Word
 from repro.exceptions import InputError
-from repro.server import FrameScheduler, QueueEntry, VirtualOutputQueues
+from repro.server import FrameScheduler, VirtualOutputQueues
+from repro.server.voq import OWNER
 
 
 def fill_voqs(n, requests, capacity=16):
+    """VOQs holding *requests* (destinations); word k's owner is k."""
     voqs = VirtualOutputQueues(n, capacity=capacity)
-    for payload, dest in enumerate(requests):
-        voqs.admit(
-            QueueEntry(destination=dest, payload=payload, enqueued_cycle=0)
-        )
+    for owner, dest in enumerate(requests):
+        voqs.admit(dest, 0, owner)
     return voqs
 
 
@@ -46,14 +47,19 @@ class TestFrameScheduler:
         n = 8
         voqs = fill_voqs(n, [3, 3, 6, 0, 6])
         scheduler = FrameScheduler(n)
-        frame = scheduler.next_frame(voqs, cycle=1)
+        block = scheduler.next_frame(voqs, cycle=1)
         # One head per distinct destination: {3, 6, 0}.
-        assert set(frame.entries) == {3, 6, 0}
-        assert frame.active == 3
-        # The words really are routable by a BNB network, filler and all.
-        outputs, _record = BNBNetwork(3).route(frame.words)
-        for dest, entry in frame.entries.items():
-            assert outputs[dest].payload is entry
+        assert set(block.dests.tolist()) == {3, 6, 0}
+        assert block.k == 1 and block.counts[0] == 3
+        # The frame really is routable by a BNB network, filler and
+        # all: every real word reaches its destination.
+        words = [
+            Word(address=address, payload=line)
+            for line, address in enumerate(block.addresses[0].tolist())
+        ]
+        outputs, _record = BNBNetwork(3).route(words)
+        for line, dest in enumerate(block.dests.tolist()):
+            assert outputs[dest].payload == line
 
     def test_fifo_per_destination_across_frames(self):
         n = 8
@@ -61,9 +67,23 @@ class TestFrameScheduler:
         scheduler = FrameScheduler(n)
         seen = []
         for cycle in range(3):
-            frame = scheduler.next_frame(voqs, cycle=cycle)
-            seen.append(frame.entries[4].payload)
+            block = scheduler.next_frame(voqs, cycle=cycle)
+            seen.append(int(block.words[0, OWNER]))
         assert seen == [0, 1, 2]
+
+    def test_block_of_k_frames_matches_k_single_frames(self):
+        n = 8
+        requests = [4, 4, 4, 1, 6, 6, 0]
+        voqs = fill_voqs(n, requests)
+        scheduler = FrameScheduler(n)
+        one_by_one = [scheduler.next_frame(voqs, cycle=0) for _ in range(3)]
+        block = FrameScheduler(n).next_frame(fill_voqs(n, requests), 0, 8)
+        assert block.k == 3 and block.tag == 0
+        for j, frame in enumerate(one_by_one):
+            assert frame.tag == j
+            assert block.addresses[j].tolist() == frame.addresses[0].tolist()
+            rows = block.words[block.frame_slice(j)]
+            assert rows.tolist() == frame.words.tolist()
 
     def test_idle_returns_none(self):
         voqs = VirtualOutputQueues(8, capacity=4)
@@ -76,10 +96,10 @@ class TestFrameScheduler:
         scheduler = FrameScheduler(n)
         voqs = fill_voqs(n, [0, 1, 2, 3])
         full = scheduler.next_frame(voqs, cycle=0)
-        assert full.fill == 1.0
+        assert full.fills.tolist() == [1.0]
         voqs = fill_voqs(n, [2])
         quarter = scheduler.next_frame(voqs, cycle=1)
-        assert quarter.fill == pytest.approx(1 / 4)
+        assert quarter.fills[0] == pytest.approx(1 / 4)
         assert scheduler.mean_fill == pytest.approx((1.0 + 0.25) / 2)
         assert scheduler.words_scheduled == 5
         snap = scheduler.snapshot()
@@ -88,11 +108,11 @@ class TestFrameScheduler:
     def test_filler_words_carry_no_payload(self):
         n = 8
         voqs = fill_voqs(n, [7])
-        frame = FrameScheduler(n).next_frame(voqs, cycle=0)
-        real = [word for word in frame.words if word.payload is not None]
-        assert len(real) == 1
-        assert real[0].address == 7
-        assert sorted(word.address for word in frame.words) == list(range(n))
+        block = FrameScheduler(n).next_frame(voqs, cycle=0)
+        # One real word, on line 0; the idle lines carry no word.
+        assert block.counts.tolist() == [1] and block.size == 1
+        assert block.addresses[0, 0] == 7
+        assert sorted(block.addresses[0].tolist()) == list(range(n))
 
     def test_tags_are_unique_and_increasing(self):
         n = 4

@@ -5,23 +5,27 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import InputError
+from repro.exceptions import AdmissionRejectedError, InputError
 from repro.server import (
     DEFAULT_TENANT,
+    NO_OWNER,
     AsyncGateway,
     GatewayConfig,
-    QueueEntry,
     VirtualOutputQueues,
 )
+from repro.server.voq import OWNER
 
 
-def entry(dest, tenant=DEFAULT_TENANT, cycle=0, payload=None):
-    return QueueEntry(
-        destination=dest,
-        payload=payload,
-        enqueued_cycle=cycle,
-        tenant=tenant,
-    )
+def admit(voqs, dest, tenant=DEFAULT_TENANT, cycle=0, owner=NO_OWNER):
+    voqs.admit(dest, cycle, owner, tenant)
+
+
+def pop_tenant(voqs):
+    """Pop one frame holding a single word; return its tenant's name."""
+    block = voqs.pop_heads(1)
+    assert block.size == 1
+    tid = 0 if block.tenants is None else int(block.tenants[0])
+    return voqs.tenant_names[tid]
 
 
 class TestTenantQueueScheduling:
@@ -30,9 +34,9 @@ class TestTenantQueueScheduling:
             4, capacity=64, tenants={"gold": 3, "bronze": 1}
         )
         for k in range(16):
-            voqs.admit(entry(0, "gold", cycle=k))
-            voqs.admit(entry(0, "bronze", cycle=k))
-        served = [voqs.pop_heads(1)[0].tenant for _ in range(16)]
+            admit(voqs, 0, "gold", cycle=k)
+            admit(voqs, 0, "bronze", cycle=k)
+        served = [pop_tenant(voqs) for _ in range(16)]
         # Smoothed weighted round-robin: exactly weight-proportional
         # service over any window while both classes stay backlogged.
         assert served.count("gold") == 12
@@ -42,15 +46,16 @@ class TestTenantQueueScheduling:
 
     def test_single_backlogged_class_bypasses_the_scheduler(self):
         voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 7})
-        voqs.admit(entry(1, "gold"))
-        assert voqs.pop_heads(1)[0].tenant == "gold"
+        admit(voqs, 1, "gold")
+        assert pop_tenant(voqs) == "gold"
 
     def test_unknown_tenant_auto_registers_with_weight_one(self):
         voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 2})
-        voqs.admit(entry(2, "walkin"))
+        admit(voqs, 2, "walkin")
         rows = voqs.tenant_snapshot()
         assert rows["walkin"]["weight"] == 1
         assert rows["walkin"]["queued"] == 1
+        assert voqs.tenant_names == ["gold", "walkin"]
 
     def test_starvation_rescue_overrides_the_weighted_pick(self):
         voqs = VirtualOutputQueues(
@@ -60,30 +65,41 @@ class TestTenantQueueScheduling:
             starvation_cycles=10,
         )
         # One ancient bronze word behind a wall of much newer gold.
-        voqs.admit(entry(0, "bronze", cycle=0))
+        admit(voqs, 0, "bronze", cycle=0)
         for k in range(64):
-            voqs.admit(entry(0, "gold", cycle=100 + k))
-        first = voqs.pop_heads(1)[0]
-        assert first.tenant == "bronze"
+            admit(voqs, 0, "gold", cycle=100 + k)
+        assert pop_tenant(voqs) == "bronze"
         assert voqs.tenant_snapshot()["bronze"]["starvation_rescues"] == 1
+
+    def test_credit_ties_go_to_the_first_registered_class(self):
+        """Equal weights tie on credit; the class registered first (in
+        configuration order, then first seen) wins, whichever class
+        first queued a word at that destination."""
+        voqs = VirtualOutputQueues(4, capacity=8, tenants={"a": 1, "b": 1})
+        admit(voqs, 0, "b")
+        admit(voqs, 0, "a")
+        admit(voqs, 0, "walkin")  # auto-registered third
+        assert [pop_tenant(voqs) for _ in range(3)] == ["a", "b", "walkin"]
 
     def test_fifo_order_preserved_within_a_tenant(self):
         voqs = VirtualOutputQueues(4, capacity=16, tenants={"a": 1, "b": 1})
         for k in range(4):
-            voqs.admit(entry(3, "a", cycle=k, payload=f"a{k}"))
+            admit(voqs, 3, "a", cycle=k, owner=k)
         served = []
         while voqs.total:
-            served.extend(e.payload for e in voqs.pop_heads(1))
-        assert served == ["a0", "a1", "a2", "a3"]
+            served.extend(voqs.pop_heads(1).words[:, OWNER].tolist())
+        assert served == [0, 1, 2, 3]
 
     def test_requeue_front_returns_to_the_owning_tenant(self):
         voqs = VirtualOutputQueues(4, capacity=16, tenants={"a": 1, "b": 8})
-        voqs.admit(entry(0, "a", cycle=0, payload="head"))
+        admit(voqs, 0, "a", cycle=0)
+        admit(voqs, 1, "b", cycle=0)
         popped = voqs.pop_heads(1)
-        voqs.requeue_front(popped)
+        voqs.requeue_front([popped])
         rows = voqs.tenant_snapshot()
         assert rows["a"]["requeued"] == 1
         assert rows["a"]["queued"] == 1
+        assert rows["b"]["requeued"] == 1
 
     def test_tenant_mode_validates_weights(self):
         with pytest.raises(ValueError):
@@ -101,8 +117,9 @@ class TestTenantQueueScheduling:
 
     def test_snapshot_counts_offered_accepted_per_tenant(self):
         voqs = VirtualOutputQueues(2, capacity=1, tenants={"a": 1})
-        assert voqs.try_admit(entry(0, "a")) is None
-        assert voqs.try_admit(entry(0, "a")) is not None  # full -> reject
+        admit(voqs, 0, "a")
+        with pytest.raises(AdmissionRejectedError):
+            admit(voqs, 0, "a")  # full -> reject
         rows = voqs.tenant_snapshot()
         assert rows["a"]["offered"] == 2
         assert rows["a"]["accepted"] == 1
