@@ -175,28 +175,34 @@ def test_resilient_service_sweep(benchmark, write_artifact):
 
 
 def test_vector_resilient_throughput(benchmark, write_artifact):
-    """The compiled resilient service vs the object one, words/s.
+    """The serving fault policy vs the object service, words/s.
 
-    Sweeps the healthy serving path and the post-quarantine failover
-    path with the same injected fault on both engines.  ``m = 6`` uses
-    a relaxed-coverage BIST schedule (strict coverage is unattainable
-    past ``m = 4`` — see :func:`repro.faults.build_bist_schedule`);
-    detection of the injected, activatable fault is unaffected.  The
-    artifact is CI-gated: recovered delivery must be total and the
-    vector healthy path must clear 5x object at the largest size.
+    The ``vector`` side is :class:`~repro.service.FaultPolicy` in the
+    window-1 shape a ``--engine vector --resilient`` plane serves: one
+    frame per ``submit``, routed by the ``bnb`` kernel (no mask while
+    healthy) and, after quarantine, by the ``krbenes`` spare's Waksman
+    looping.  Sweeps the healthy serving path and the post-quarantine
+    failover path with the same injected fault on both services.
+    ``m = 6`` uses a relaxed-coverage BIST schedule (strict coverage is
+    unattainable past ``m = 4`` — see
+    :func:`repro.faults.build_bist_schedule`); detection of the
+    injected, activatable fault is unaffected.  The artifact is
+    CI-gated: recovered delivery must be total and the vector healthy
+    path must clear 5x object at the largest size.
     """
     import time
 
     from repro.faults import fault_mask_for
-    from repro.service import ResilientVectorFabric
+    from repro.service import FaultPolicy
 
-    def timed_words_per_sec(fabric, perms, batches):
+    def timed_words_per_sec(service, perms, batches):
+        counters = service.counters
+        before = counters.words_delivered
         start = time.perf_counter()
-        delivered = 0
         for index in range(batches):
-            result = fabric.submit(perms[index % len(perms)], tag=index)
-            delivered += result.delivered
+            service.submit(perms[index % len(perms)], tag=index)
         elapsed = time.perf_counter() - start
+        delivered = counters.words_delivered - before
         return delivered / elapsed, delivered
 
     def sweep():
@@ -221,10 +227,10 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
             row = {"m": m, "n": n, "batches": batches}
             healthy = {
                 "object": ResilientFabric(m, schedule=schedule),
-                "vector": ResilientVectorFabric(m, schedule=schedule),
+                "vector": FaultPolicy(m, schedule=schedule),
             }
-            for engine, fabric in healthy.items():
-                rate, delivered = timed_words_per_sec(fabric, perms, batches)
+            for engine, service in healthy.items():
+                rate, delivered = timed_words_per_sec(service, perms, batches)
                 row[f"healthy_{engine}_words_per_sec"] = rate
                 assert delivered == batches * n
             faulted = {
@@ -233,22 +239,21 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
                     pipeline=_faulty_pipeline(m, coordinate, 1),
                     schedule=schedule,
                 ),
-                "vector": ResilientVectorFabric(
+                "vector": FaultPolicy(
                     m,
-                    fault_mask=fault_mask_for(m, [(coordinate, 1)]),
+                    mask=fault_mask_for(m, [(coordinate, 1)]),
                     schedule=schedule,
-                    spare_verify_every=64,
                 ),
             }
             recovered = 0
-            for engine, fabric in faulted.items():
-                first = fabric.submit(perms[0], tag="first")
-                recovered += first.delivered
-                if not fabric.registry.is_quarantined:
-                    fabric.check(tag="scheduled")
-                assert fabric.registry.is_quarantined
+            for engine, service in faulted.items():
+                service.submit(perms[0], tag="first")
+                recovered += service.counters.words_delivered
+                if not service.registry.is_quarantined:
+                    service.check(tag="scheduled")
+                assert service.registry.is_quarantined
                 rate, delivered = timed_words_per_sec(
-                    fabric, perms, batches
+                    service, perms, batches
                 )
                 row[f"failover_{engine}_words_per_sec"] = rate
                 recovered += delivered

@@ -2,12 +2,14 @@
 
 The ISSUE 4 acceptance benchmark: the same cycle-accurate schedule —
 offer one fresh permutation per cycle, step, repeat — clocked once on
-the reference object-model :class:`PipelinedBNBFabric` and once on the
-compiled-plan numpy :class:`VectorPipelinedFabric`, at m in {6, 8, 10}.
-The vector engine must sustain **>= 10x** the object engine's
-cycles/sec at m=8 (measured ~15x in the container this grew up in),
-and the gateway must still fill frames (>= 0.9 steady-state fill at
-offered load 1.0) when its planes run the vector engine.
+the reference object-model :class:`PipelinedBNBFabric` and once on
+what ``--engine vector`` serves, a :class:`BackendPlane` on the
+compiled ``bnb`` backend with the pipeline's timing (``batch_window=1,
+depth=m``: one frame enters per step and leaves ``m`` steps later,
+every frame verified in full), at m in {6, 8, 10}.  The vector engine
+must sustain **>= 10x** the object engine's cycles/sec at m=8, and the
+gateway must still fill frames (>= 0.9 steady-state fill at offered
+load 1.0) when its planes run the vector engine.
 
 ``BENCH_VECTOR_QUICK=1`` (the CI smoke) trims the sweep to m in
 {6, 8} and shortens the runs; the m=8 speedup bar still applies.
@@ -19,10 +21,8 @@ Findings (see ``benchmarks/out/vector_pipeline.json``):
 * the vector engine's cycle cost is a handful of whole-array numpy
   passes per stage, so the gap *widens* with m — the compiled plan is
   how the software model starts behaving like the hardware it models;
-* the gateway at m=4 on the vector engine — the compiled ``bnb``
-  backend on the pipeline's one-frame-per-cycle, ``m``-cycle timing,
-  every frame verified in full — fills frames at load 1.0 exactly like
-  the object-engine run in ``bench_gateway_load``.
+* the gateway at m=4 on the vector engine fills frames at load 1.0
+  exactly like the object-engine run in ``bench_gateway_load``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ import json
 import os
 import time
 
+import numpy as np
+
 from repro.core.pipeline import PipelinedBNBFabric
-from repro.core.pipeline_fast import VectorPipelinedFabric
 from repro.permutations import random_permutation
-from repro.server import AsyncGateway, GatewayConfig
+from repro.server import AsyncGateway, BackendPlane, Block, GatewayConfig
 
 from bench_gateway_load import drive_open_loop
 
@@ -45,15 +46,16 @@ SPEEDUP_BAR_M = 8
 SPEEDUP_BAR = 10.0
 
 
-def _cycles_per_sec(fabric_cls, m: int, cycles: int) -> float:
-    """Steady-state offered-every-cycle throughput of one engine."""
-    n = 1 << m
-    # Pre-generate the permutations so the measurement window times the
-    # engines, not the generator.
-    perms = [
-        random_permutation(n, rng=seed).to_list() for seed in range(8)
-    ]
-    fabric = fabric_cls(m, retain_delivered=False)
+def _permutations(m: int) -> list:
+    # Pre-generated, so the measurement window times the engines, not
+    # the generator.
+    return [random_permutation(1 << m, rng=seed).to_list() for seed in range(8)]
+
+
+def _object_cycles_per_sec(m: int, cycles: int) -> float:
+    """Steady-state offered-every-cycle throughput of the object engine."""
+    perms = _permutations(m)
+    fabric = PipelinedBNBFabric(m, retain_delivered=False)
     for k in range(m + 1):  # fill the pipeline before the clock starts
         fabric.offer(perms[k % len(perms)], tag=("warmup", k))
         fabric.step()
@@ -66,13 +68,40 @@ def _cycles_per_sec(fabric_cls, m: int, cycles: int) -> float:
     return cycles / elapsed
 
 
+def _vector_cycles_per_sec(m: int, cycles: int) -> float:
+    """The same schedule on the window-1, depth-m ``bnb`` plane."""
+    n = 1 << m
+    perms = [np.array([pi], dtype=np.int64) for pi in _permutations(m)]
+    full = np.array([n], dtype=np.int64)
+    words = np.zeros((n, 4), dtype=np.int64)
+    frame_of = np.zeros(n, dtype=np.int64)
+    plane = BackendPlane(0, m, "bnb", batch_window=1, depth=m)
+
+    def offer(k: int) -> None:
+        addresses = perms[k % len(perms)]
+        block = Block(addresses, full, True, words, frame_of, addresses[0])
+        block.tag = k
+        plane.offer(block)
+
+    for k in range(m + 1):  # fill the pipeline before the clock starts
+        offer(-1 - k)
+        plane.step()
+    start = time.perf_counter()
+    for k in range(cycles):
+        offer(k)
+        plane.step()
+    elapsed = time.perf_counter() - start
+    assert plane.frames_delivered >= cycles  # back-to-back, no bubbles
+    return cycles / elapsed
+
+
 def test_vector_engine_speedup(write_artifact):
     """The compiled engine clears the 10x bar at m=8 and the gap widens."""
     rows = []
     for m in SWEEP_MS:
         cycles = CYCLES[m]
-        object_rate = _cycles_per_sec(PipelinedBNBFabric, m, cycles)
-        vector_rate = _cycles_per_sec(VectorPipelinedFabric, m, cycles)
+        object_rate = _object_cycles_per_sec(m, cycles)
+        vector_rate = _vector_cycles_per_sec(m, cycles)
         rows.append(
             {
                 "m": m,

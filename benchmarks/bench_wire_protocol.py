@@ -11,9 +11,11 @@ window coalescing, one :func:`route_frame_batch` gather per window,
 and the array-shaped response on the way back.
 
 The bar (see ``benchmarks/out/wire_protocol.json``): sustained
-gateway words/s must be **>= 10x** the ``gateway_load.json`` m=3
-rho=1.0 baseline (~35k words/s), with the batched kernel exercised at
-m=6 and verified word-for-word against the reference object pipeline
+gateway words/s must be **>= 10x** the JSON-era baseline — the m=3,
+rho=1.0 object-engine open-loop drive of ``bench_gateway_load``,
+measured in the same run so both sides see the same host speed — with
+the batched kernel exercised at m=6 and verified word-for-word against
+the reference object pipeline
 (the same oracle as
 ``tests/test_pipeline_batch.py::test_word_for_word_parity_with_object_pipeline_m6``,
 re-run here so the artifact carries its own proof).
@@ -28,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import pathlib
 import time
 
 import numpy as np
@@ -39,6 +40,8 @@ from repro.core.pipeline import PipelinedBNBFabric
 from repro.core.pipeline_fast import route_frame_batch
 from repro.server import AsyncGateway, GatewayConfig, GatewayServer
 
+from bench_gateway_load import CYCLES, WARMUP, drive_open_loop
+
 QUICK = bool(os.environ.get("BENCH_WIRE_QUICK"))
 
 M = 6
@@ -47,7 +50,6 @@ FRAMES_PER_BATCH = 128          # 8192 words per send_batch request
 BATCHES = 8 if QUICK else 32
 JSON_BATCHES = 2 if QUICK else 4
 IN_FLIGHT = 4                   # concurrent requests on one connection
-BASELINE_WORDS_PER_SEC = 35_244.0  # pinned gateway_load m=3 rho=1.0
 
 
 def _bursts(batches: int, seed: int = 7) -> list:
@@ -61,16 +63,12 @@ def _bursts(batches: int, seed: int = 7) -> list:
 
 
 def _baseline_words_per_sec() -> float:
-    """Prefer the measured gateway_load.json baseline when present."""
-    path = pathlib.Path(__file__).parent / "out" / "gateway_load.json"
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return BASELINE_WORDS_PER_SEC
-    for row in data.get("sweep", []):
-        if row.get("m") == 3 and row.get("offered_load") == 1.0:
-            return float(row["sustained_words_per_sec"])
-    return BASELINE_WORDS_PER_SEC
+    """The m=3, rho=1.0 row of ``bench_gateway_load``'s sweep (object
+    engine, one plane, capacity 16), driven here and now."""
+    gateway = AsyncGateway(GatewayConfig(m=3, planes=1, queue_capacity=16))
+    row = drive_open_loop(gateway, 1.0, CYCLES, WARMUP)
+    assert row["words_delivered"] == row["words_accepted"]
+    return row["sustained_words_per_sec"]
 
 
 async def _drive(port: int, binary: bool, bursts: list) -> dict:
@@ -168,7 +166,10 @@ def test_wire_throughput(write_artifact):
         "frames_per_batch": FRAMES_PER_BATCH,
         "in_flight_requests": IN_FLIGHT,
         "baseline_words_per_sec": baseline,
-        "baseline_source": "gateway_load.json m=3 offered_load=1.0",
+        "baseline_source": (
+            "bench_gateway_load.drive_open_loop m=3 offered_load=1.0 "
+            "(object engine), measured in this run"
+        ),
         "binary": binary,
         "json": via_json,
         "sustained_words_per_sec": binary["words_per_sec"],

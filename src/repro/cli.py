@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("object", "vector"),
         default="object",
         help="run the resilient service on the reference object fabric "
-        "or the compiled vector fabric (ResilientVectorFabric)",
+        "or on the compiled kernels (the serving planes' fault policy)",
     )
     faults.add_argument(
         "--connect",
@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--resilient",
         action="store_true",
-        help="wrap each plane in the fault-tolerant resilient service "
-        "(composes with --engine: object or vector fabrics)",
+        help="give each plane a fault policy: verify, retry, diagnose "
+        "with BIST and fail over to a Benes spare (engines whose backend "
+        "supports fault masks: vector, batch, bnb)",
     )
     serve.add_argument(
         "--engine",
@@ -695,7 +696,7 @@ def _faults_connect(args: argparse.Namespace) -> int:
             print(
                 f"injected : stuck-at-{args.stuck_value} at ({coordinate}) "
                 f"into plane {args.plane} of {args.connect} "
-                f"(engine {injected['plane']['engine']})"
+                f"(backend {injected['plane']['backend']})"
             )
             modes: dict = {}
             delivered = 0
@@ -775,7 +776,7 @@ def _command_faults(args: argparse.Namespace) -> int:
         fault_mask_for,
         shared_bist_schedule,
     )
-    from .service import HealthMonitor, ResilientFabric, ResilientVectorFabric
+    from .service import FaultPolicy, HealthMonitor, ResilientFabric
 
     schedule = shared_bist_schedule(m)
     pipeline = None
@@ -806,22 +807,24 @@ def _command_faults(args: argparse.Namespace) -> int:
             f"({args.stuck}) in the primary plane"
         )
     if args.engine == "vector":
-        fabric = ResilientVectorFabric(
-            m, fault_mask=fault_mask, schedule=schedule
-        )
+        service = FaultPolicy(m, mask=fault_mask, schedule=schedule)
+        submit = service.submit
     else:
-        fabric = ResilientFabric(m, pipeline=pipeline, schedule=schedule)
-    monitor = HealthMonitor(fabric.registry)
+        service = ResilientFabric(m, pipeline=pipeline, schedule=schedule)
+
+        def submit(addresses, tag):
+            result = service.submit(addresses, tag=tag)
+            return result.mode, result.retries
+
+    monitor = HealthMonitor(service.registry)
     for index in range(args.batches):
         pi = random_permutation(args.n, rng=args.seed + index)
-        result = fabric.submit(pi.to_list(), tag=f"batch-{index}")
-        print(
-            f"batch {index}  : mode={result.mode} retries={result.retries}"
-        )
-        if index == 0 and not fabric.registry.is_quarantined:
-            fabric.check(tag="scheduled-bist")
+        mode, retries = submit(pi.to_list(), f"batch-{index}")
+        print(f"batch {index}  : mode={mode} retries={retries}")
+        if index == 0 and not service.registry.is_quarantined:
+            service.check(tag="scheduled-bist")
     print()
-    print(fabric.summary())
+    print(service.summary())
     print()
     print("event log:")
     print(monitor.render())
@@ -1332,8 +1335,9 @@ _HANDLERS = {
 
 def _gateway_config(**fields: Any):
     """Build a :class:`~repro.server.GatewayConfig`; a combination it
-    refuses (``--resilient`` with a windowed engine, say) is an input
-    error — one ``error:`` line and exit 2 — not a traceback."""
+    refuses (``--resilient`` on a backend without fault masks, say) is
+    an input error — one ``error:`` line and exit 2 — not a
+    traceback."""
     from .server import GatewayConfig
 
     try:

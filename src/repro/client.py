@@ -367,7 +367,6 @@ class GatewayClient:
     async def send_batch(
         self,
         dests: Any,
-        payloads: Optional[Sequence[Any]] = None,
         *,
         retry: int = 0,
         tenant: Optional[str] = None,
@@ -395,8 +394,6 @@ class GatewayClient:
             fields["dests"] = array
         else:
             fields["dests"] = array.tolist()
-        if payloads is not None:
-            fields["payloads"] = list(payloads)
         response = await self.request("send_batch", **fields)
         for key in _BATCH_ARRAY_FIELDS:
             if key in response:

@@ -253,7 +253,6 @@ class ClusterClient:
     async def send_batch(
         self,
         dests: Any,
-        payloads: Optional[Sequence[Any]] = None,
         *,
         retry: int = 8,
     ) -> Dict[str, Any]:
@@ -293,13 +292,8 @@ class ClusterClient:
             async def _one_node(node_id, positions, local_dests):
                 try:
                     client = await self._client_for(node_id)
-                    node_payloads = (
-                        [payloads[int(k)] for k in pending[positions]]
-                        if payloads is not None
-                        else None
-                    )
                     response = await client.send_batch(
-                        local_dests, node_payloads, retry=retry
+                        local_dests, retry=retry
                     )
                 except (
                     ConnectionError,

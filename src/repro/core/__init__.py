@@ -48,7 +48,7 @@ from .plan import (
     build_fault_mask,
     compiled_plan,
 )
-from .pipeline_fast import VectorPipelinedFabric, route_frame_sources
+from .pipeline_fast import route_frame_sources
 
 __all__ = [
     "Word",
@@ -89,6 +89,5 @@ __all__ = [
     "DEAD_ADDRESS",
     "FaultMask",
     "build_fault_mask",
-    "VectorPipelinedFabric",
     "route_frame_sources",
 ]

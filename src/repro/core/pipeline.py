@@ -143,7 +143,6 @@ class PipelinedBNBFabric:
         self.delivered_count = 0
         self._latencies: List[int] = []
         self._latency_window = 4096
-        self._delivery_hooks: List[Callable[[Any, List[Word]], None]] = []
 
     def install_control_override(
         self, override: ControlOverride, compose: bool = False
@@ -200,32 +199,6 @@ class PipelinedBNBFabric:
         self._pending = PipelineBatch(
             tag=tag, words=list(words), entered_cycle=self.cycle
         )
-
-    @property
-    def can_accept(self) -> bool:
-        """Whether :meth:`offer` would succeed this cycle (no batch waiting)."""
-        return self._pending is None
-
-    def try_offer_words(self, words: Sequence[Word], tag: Any = None) -> bool:
-        """Non-blocking :meth:`offer_words`: ``False`` when a batch already
-        waits, instead of raising.  Address validation still raises — a
-        malformed batch is a caller bug, not backpressure."""
-        if self._pending is not None:
-            return False
-        self.offer_words(words, tag=tag)
-        return True
-
-    def add_delivery_hook(
-        self, hook: Callable[[Any, List[Word]], None]
-    ) -> None:
-        """Register ``hook(tag, outputs)`` to fire as each batch drains.
-
-        Hooks run inside :meth:`step`, synchronously and in registration
-        order — the non-blocking alternative to polling the return value
-        of every :meth:`step` call (an asyncio server parks completions
-        into futures from here without clocking-loop bookkeeping).
-        """
-        self._delivery_hooks.append(hook)
 
     # ------------------------------------------------------------------
     # Clocking
@@ -317,8 +290,6 @@ class PipelinedBNBFabric:
                 and len(self._latencies) > self._latency_window
             ):
                 del self._latencies[: -self._latency_window]
-            for hook in self._delivery_hooks:
-                hook(leaving.tag, outputs)
         # Everything else shifts forward through its stage's logic.
         for stage in range(self.m - 2, -1, -1):
             batch = self._stages[stage]
@@ -353,7 +324,7 @@ class PipelinedBNBFabric:
         one stage per :meth:`step`, unconditionally — so the timeline is
         deterministic: stage *k*'s routing logic runs during the step
         that begins at ``entered_cycle + 1 + k``, and the batch drains
-        (delivery hooks fire) as stage ``m-1`` is crossed.  The tracing
+        as stage ``m-1`` is crossed.  The tracing
         layer (:mod:`repro.obs.tracing`) derives per-stage trace records
         from this instead of timestamping the hot loop.
         """

@@ -24,8 +24,8 @@ The two routing kernels live here too: :func:`vector_splitter_controls`
 (the log-depth XOR-up/flag-down arbiter pass over all boxes of a stage
 at once) and :func:`vector_apply_controls`.  They are the single vector
 implementation behind both the combinational
-:meth:`~repro.core.bnb.BNBNetwork.route_fast` and the registered
-:class:`~repro.core.pipeline_fast.VectorPipelinedFabric`.
+:meth:`~repro.core.bnb.BNBNetwork.route_fast` and the frame kernels
+of :mod:`repro.core.pipeline_fast`.
 
 Faults are data here, not control flow: a :class:`FaultMask` carries
 per-(main stage, inner stage) stuck-control override arrays plus

@@ -165,47 +165,35 @@ class BISTSchedule:
                 on_probe(probe, observation)
         return observations
 
-    def run_pipelined(
+    def run_batch(
         self,
-        fabric,
+        route_frame_batch: Callable[[np.ndarray], np.ndarray],
         on_probe: Optional[Callable[["BISTProbe", "ProbeObservation"], None]] = None,
     ) -> List["ProbeObservation"]:
-        """Push the whole schedule through a pipelined fabric, batched.
+        """Route every probe in one batched kernel call.
 
-        The vector counterpart of :meth:`run`: instead of routing each
-        probe to completion before offering the next (``P * (m + 1)``
-        cycles), all probes enter back to back — one per cycle, the
-        pipeline's design point — and the pass completes in
-        ``P + m`` cycles.  *fabric* is any pipelined engine with the
-        shared ``offer_words`` / ``step`` / ``drain`` / ``in_flight``
-        surface (in practice a possibly-faulty
-        :class:`~repro.core.pipeline_fast.VectorPipelinedFabric`); it
-        must be idle, and is idle again on return.  Arrived addresses
-        are decoded into observations in one vectorized pass
-        (:func:`~repro.faults.localization.observations_from_arrays`).
+        The array counterpart of :meth:`run`: *route_frame_batch* takes
+        the ``(probes, n)`` stack of probe addresses and returns its
+        sources (``sources[p, line]`` is the input line whose word
+        reached output ``line``), typically
+        ``lambda a: backend.route_frame_batch(a, mask=mask)`` over a
+        possibly-faulty :class:`~repro.core.plan.FaultMask`.  The
+        arrived rows are decoded in one vectorized pass
+        (:func:`~repro.faults.localization.observations_from_arrays`);
+        ``on_probe`` then fires once per probe, as in :meth:`run`.
         """
         from .localization import observations_from_arrays
 
-        if getattr(fabric, "in_flight", 0) or not fabric.can_accept:
-            raise FaultError("a pipelined BIST pass needs an idle fabric")
-        completed = []
-        for probe in self.probes:
-            fabric.offer_words(probe.words(), tag=("bist", probe.index))
-            completed.extend(fabric.step())
-        completed.extend(fabric.drain())
-        outputs_by_tag = dict(completed)
-        arrived = np.empty((len(self.probes), self.n), dtype=np.int64)
-        for row, probe in enumerate(self.probes):
-            outputs = outputs_by_tag.get(("bist", probe.index))
-            if outputs is None or len(outputs) != self.n:
-                raise FaultError(
-                    f"probe {probe.index} did not complete cleanly on the "
-                    f"pipelined fabric"
-                )
-            arrived[row] = [word.address for word in outputs]
         sent = np.array(
             [probe.addresses for probe in self.probes], dtype=np.int64
         )
+        sources = np.asarray(route_frame_batch(sent), dtype=np.int64)
+        if sources.shape != sent.shape:
+            raise FaultError(
+                f"a batched BIST pass returned shape {sources.shape} for "
+                f"{sent.shape} probes"
+            )
+        arrived = np.take_along_axis(sent, sources, axis=1)
         observations = observations_from_arrays(sent, arrived)
         if on_probe is not None:
             for probe, observation in zip(self.probes, observations):

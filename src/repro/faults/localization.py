@@ -140,8 +140,8 @@ def observations_from_arrays(
 ) -> List[ProbeObservation]:
     """Build probe observations from batched ``(probes, n)`` arrays.
 
-    The decode path for pipelined BIST passes
-    (:meth:`~repro.faults.bist.BISTSchedule.run_pipelined`): the whole
+    The decode path for batched BIST passes
+    (:meth:`~repro.faults.bist.BISTSchedule.run_batch`): the whole
     probe batch is validated and syndrome-flagged in vectorized passes,
     and only then materialized as :class:`ProbeObservation` records for
     the (per-observation) localization decoder.

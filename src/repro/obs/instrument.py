@@ -15,7 +15,7 @@ which hooks the dataplane offers and which metrics the catalog
   histogram observe would cost more than the vector engine's whole
   routing step.
 * **pull** — everything the components already count (VOQ admission
-  totals, scheduler fill, plane health, the resilient fabric's service
+  totals, scheduler fill, plane health, a resilient plane's fault-policy
   counters) is copied in by a collector that runs only when somebody
   scrapes.
 
@@ -258,12 +258,12 @@ class GatewayInstrumentation:
         self.gateway.observer = self
         self.registry.register_collector(self._collect)
         for plane in self.gateway.planes:
-            fabric = getattr(plane, "fabric", None)
-            registry = getattr(fabric, "registry", None)
-            if registry is not None and hasattr(registry, "add_listener"):
-                registry.add_listener(self._service_listener(plane.plane_id))
-            if fabric is not None and hasattr(fabric, "probe_hook"):
-                fabric.probe_hook = self._probe_hook(plane.plane_id)
+            policy = getattr(plane, "policy", None)
+            if policy is not None:
+                policy.registry.add_listener(
+                    self._service_listener(plane.plane_id)
+                )
+                policy.probe_hook = self._probe_hook(plane.plane_id)
         return self
 
     def _service_listener(self, plane_id: int):
@@ -353,12 +353,9 @@ class GatewayInstrumentation:
         ).set(1)
         self._cycle.set(gateway.cycle)
         self._accepting.set(1 if gateway._accepting else 0)
-        latencies = gateway._latencies
-        for q, value in (
-            ("p50", gateway._percentile(latencies, 0.50)),
-            ("p99", gateway._percentile(latencies, 0.99)),
-            ("max", max(latencies) if latencies else None),
-        ):
+        quantiles = gateway._quantiles(gateway._latencies)
+        for q in ("p50", "p99", "max"):
+            value = quantiles[q]
             if value is not None:
                 self._latency_q.labels(q).set(value)
         voqs = gateway.voqs.snapshot()
@@ -376,14 +373,13 @@ class GatewayInstrumentation:
             self._plane_in_flight.labels(label).set(plane.in_flight)
             self._plane_frames.labels(label).sync(plane.frames_delivered)
             self._plane_words.labels(label).sync(plane.words_delivered)
-            fabric = getattr(plane, "fabric", None)
-            registry = getattr(fabric, "registry", None)
-            if registry is not None and hasattr(registry, "is_quarantined"):
+            policy = getattr(plane, "policy", None)
+            if policy is not None:
                 self._service_quarantined.labels(label).set(
-                    1 if registry.is_quarantined else 0
+                    1 if policy.registry.is_quarantined else 0
                 )
                 self._service_retries.labels(label).sync(
-                    fabric.counters.retries
+                    policy.counters.retries
                 )
         tenants = getattr(gateway, "tenant_snapshot", lambda: None)()
         if tenants is not None:

@@ -16,14 +16,14 @@ keeps answering it forever, online, for concurrent clients:
   queued word of every destination (a conflict-free partial
   permutation) and idle-fills the rest, laid out as
   :func:`~repro.core.traffic.coalesce_frame` would;
-* :mod:`repro.server.planes` — **fabric planes**:
-  :class:`~repro.server.planes.BackendPlane` routes frames through a
+* :mod:`repro.server.planes` — **fabric planes**: one kind,
+  :class:`~repro.server.planes.BackendPlane`, routes frames through a
   compiled routing backend and verifies every one in full, either one
   frame per cycle on the BNB pipeline's ``m``-cycle timing or whole
-  windows per cycle; :class:`~repro.server.planes.ResilientPlane` wraps
-  a :class:`~repro.service.ResilientFabric` that survives physical
-  faults; a faulty plane drains, its words requeue, and the pool serves
-  on;
+  windows per cycle.  A faulty plane drains, its words requeue, and
+  the pool serves on; a resilient plane's
+  :class:`~repro.service.FaultPolicy` instead retries, diagnoses and
+  fails over to a Benes spare, so it survives physical faults;
 * :mod:`repro.server.gateway` — the **asyncio dataplane** tying them
   together: ``await gateway.send(dest, payload)`` returns a delivery
   receipt, ``await gateway.send_batch(dests)`` a per-word
@@ -53,9 +53,10 @@ from .gateway import (
     GatewayConfig,
     Receipt,
     engine_names,
+    resilient_engines,
 )
 from .ops import REGISTRY, OpSpec
-from .planes import BackendPlane, ResilientPlane
+from .planes import BackendPlane
 from .protocol import GatewayServer
 from .scheduler import FrameScheduler
 from .voq import DEFAULT_TENANT, NO_OWNER, Block, VirtualOutputQueues
@@ -75,7 +76,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "REGISTRY",
     "Receipt",
-    "ResilientPlane",
     "VirtualOutputQueues",
     "engine_names",
+    "resilient_engines",
 ]

@@ -20,7 +20,7 @@ import asyncio
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -30,9 +30,15 @@ from ..exceptions import (
     InputError,
     PlaneUnavailableError,
 )
-from ..backends import backend_names, compiled_backend, prewarm, select_backend
-from ..service import ResilientVectorFabric
-from .planes import BackendPlane, CompletedFrame, ResilientPlane
+from ..backends import (
+    backend_names,
+    compiled_backend,
+    get_backend_spec,
+    prewarm,
+    select_backend,
+)
+from ..service import FaultPolicy
+from .planes import BackendPlane, CompletedFrame
 from .scheduler import FrameScheduler
 from .voq import (
     CYCLE,
@@ -50,6 +56,7 @@ __all__ = [
     "GatewayConfig",
     "Receipt",
     "engine_names",
+    "resilient_engines",
 ]
 
 #: Builds plane *i* for a gateway of address width *m*.
@@ -73,6 +80,20 @@ def engine_names() -> List[str]:
     return [*ENGINE_ALIASES, "auto", *backend_names()]
 
 
+def resilient_engines() -> List[str]:
+    """The engines valid with :attr:`GatewayConfig.resilient`: those
+    whose backend has ``BackendSpec.supports_fault_mask`` (``"auto"``
+    picks its backend only at construction, so it never qualifies)."""
+    return [
+        engine
+        for engine in engine_names()
+        if engine != "auto"
+        and get_backend_spec(
+            ENGINE_ALIASES.get(engine, (engine, False))[0]
+        ).supports_fault_mask
+    ]
+
+
 @dataclasses.dataclass
 class GatewayConfig:
     """Knobs for a gateway deployment."""
@@ -93,11 +114,11 @@ class GatewayConfig:
     #: for this ``m``; any registered backend name (``"krbenes"``,
     #: ``"msorter"``, ...) pins that backend without calibrating (see
     #: ``docs/backends.md``); both route windows like ``"batch"``.
-    #: With ``resilient``, ``"object"`` planes wrap a
-    #: ``ResilientFabric`` and ``"vector"`` planes a
-    #: ``ResilientVectorFabric`` (masked fault kernels, pipelined BIST,
-    #: compiled Benes failover); the windowed engines have no resilient
-    #: variant.
+    #: With ``resilient``, every plane carries a
+    #: :class:`~repro.service.FaultPolicy` (masked fault kernels,
+    #: batched BIST, ``krbenes`` failover); valid exactly for the
+    #: engines whose backend supports fault masks
+    #: (:func:`resilient_engines`: ``"vector"``, ``"batch"``, ``"bnb"``).
     engine: str = "object"
     #: Frames a windowed plane routes per cycle in one batched call.
     batch_window: int = 32
@@ -136,10 +157,11 @@ class GatewayConfig:
                 f"registered backend name {backend_names()}, "
                 f"got {self.engine!r}"
             )
-        if self.resilient and self.engine not in ("object", "vector"):
+        if self.resilient and self.engine not in resilient_engines():
             raise ValueError(
                 f"the {self.engine!r} engine has no resilient variant; "
-                f"use engine='vector' with resilient=True"
+                f"resilient=True needs an engine whose backend supports "
+                f"fault masks: {resilient_engines()}"
             )
         if self.batch_window < 1:
             raise ValueError(
@@ -333,19 +355,19 @@ class AsyncGateway:
             (1, config.m) if pipelined else (config.batch_window, 0)
         )
         if plane_factory is None:
-            if config.resilient and config.engine == "vector":
-                plane_factory = lambda i, m: ResilientPlane(
-                    i, m, fabric=ResilientVectorFabric(m)
+            # Compile (and prewarm the shared plan) here, at
+            # construction, so no served frame pays compile latency.
+            prewarm(config.m, [self.backend_name])
+            if config.resilient:
+                # A resilient plane routes on its own policy's backend.
+                plane_factory = lambda i, m: BackendPlane(
+                    i, m, batch_window=window, depth=depth,
+                    policy=FaultPolicy(m),
                 )
-            elif config.resilient:
-                plane_factory = lambda i, m: ResilientPlane(i, m)
             else:
-                # Compile (and prewarm the shared plan) here, at
-                # construction, so no served frame pays compile latency.
-                prewarm(config.m, [self.backend_name])
                 backend = compiled_backend(self.backend_name, config.m)
                 plane_factory = lambda i, m: BackendPlane(
-                    i, m, backend=backend, batch_window=window, depth=depth
+                    i, m, backend=backend, batch_window=window, depth=depth,
                 )
         self.planes = [
             plane_factory(i, config.m) for i in range(config.planes)
@@ -543,7 +565,6 @@ class AsyncGateway:
     async def send_batch(
         self,
         destinations: Any,
-        payloads: Optional[Sequence[Any]] = None,
         retry_attempts: int = 0,
         tenant: Optional[str] = None,
     ) -> BatchResult:
@@ -592,10 +613,6 @@ class AsyncGateway:
             )
         if not any(plane.healthy for plane in self.planes):
             raise PlaneUnavailableError(len(self.planes))
-        if payloads is not None and len(payloads) != count:
-            raise InputError(
-                f"got {len(payloads)} payloads for {count} destinations"
-            )
         if self._draining:
             # A draining gateway bounces the whole batch with hints but
             # still returns a well-formed result: statuses stay 0.
@@ -707,22 +724,22 @@ class AsyncGateway:
 
         The operator-facing fault drill (the ``inject`` protocol op):
         *coordinate* is a 5-sequence ``(main_stage, nested,
-        nested_stage, box, switch)``.  Only planes whose fabric exposes
-        ``inject_stuck_control`` — the resilient kinds — can take one;
-        anything else raises :class:`InputError` rather than silently
-        ignoring the drill.
+        nested_stage, box, switch)``.  Only a resilient plane (one with
+        a fault policy) can take one; anything else raises
+        :class:`InputError` rather than silently ignoring the drill.
         """
         from ..faults.injector import SwitchCoordinate
 
         plane = self._plane(plane_id)
-        fabric = getattr(plane, "fabric", None)
-        inject = getattr(fabric, "inject_stuck_control", None)
-        if inject is None:
+        policy = getattr(plane, "policy", None)
+        if policy is None:
             raise InputError(
                 f"plane {plane_id} ({type(plane).__name__}) cannot take "
                 f"fault injection; serve with --resilient"
             )
-        inject(SwitchCoordinate(*(int(axis) for axis in coordinate)), value)
+        policy.inject_stuck_control(
+            SwitchCoordinate(*(int(axis) for axis in coordinate)), value
+        )
         self._work.set()
         return plane.describe()
 
@@ -998,12 +1015,23 @@ class AsyncGateway:
     # Stats
     # ------------------------------------------------------------------
     @staticmethod
-    def _percentile(samples: List[int], q: float) -> Optional[int]:
+    def _quantiles(samples: List[int]) -> Dict[str, Optional[int]]:
+        """Sample count, p50, p99 and max of *samples*, from one sort.
+
+        Quantile ``q`` is ``ordered[min(L - 1, int(q * (L - 1) + 0.5))]``
+        over the ``L`` sorted samples; every value is ``None`` when there
+        are none.
+        """
         if not samples:
-            return None
+            return {"samples": 0, "p50": None, "p99": None, "max": None}
         ordered = sorted(samples)
-        index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-        return ordered[index]
+        last = len(ordered) - 1
+        return {
+            "samples": len(ordered),
+            "p50": ordered[min(last, int(0.50 * last + 0.5))],
+            "p99": ordered[min(last, int(0.99 * last + 0.5))],
+            "max": ordered[last],
+        }
 
     def tenant_snapshot(self) -> Optional[Dict[str, Dict[str, Any]]]:
         """Fairness + latency accounting per QoS class, or ``None``
@@ -1024,17 +1052,11 @@ class AsyncGateway:
                 else []
             )
             row["delivered"] = self._tenant_delivered.get(tenant, 0)
-            row["latency_cycles"] = {
-                "samples": len(samples),
-                "p50": self._percentile(samples, 0.50),
-                "p99": self._percentile(samples, 0.99),
-                "max": max(samples) if samples else None,
-            }
+            row["latency_cycles"] = self._quantiles(samples)
         return rows
 
     def stats(self) -> Dict[str, Any]:
         """One JSON-safe snapshot of every component's counters."""
-        latencies = self._latencies
         return {
             "cycle": self.cycle,
             "n": self.n,
@@ -1055,11 +1077,6 @@ class AsyncGateway:
             "queues": self.voqs.snapshot(),
             "scheduler": self.scheduler.snapshot(),
             "tenants": self.tenant_snapshot(),
-            "latency_cycles": {
-                "samples": len(latencies),
-                "p50": self._percentile(latencies, 0.50),
-                "p99": self._percentile(latencies, 0.99),
-                "max": max(latencies) if latencies else None,
-            },
+            "latency_cycles": self._quantiles(self._latencies),
             "planes": [plane.describe() for plane in self.planes],
         }

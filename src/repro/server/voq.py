@@ -135,6 +135,23 @@ class Block:
         end = int(self.counts[: j + 1].sum())
         return slice(end - int(self.counts[j]), end)
 
+    def frame(self, j: int) -> "Block":
+        """Frame *j* alone, as a one-frame block tagged ``tag + j``."""
+        rows = self.frame_slice(j)
+        count = self.counts[j : j + 1]
+        block = Block(
+            self.addresses[j : j + 1],
+            count,
+            bool(count[0] == self.addresses.shape[1]),
+            self.words[rows],
+            self.frame_of[rows] - j,
+            self.dests[rows],
+            None if self.tenants is None else self.tenants[rows],
+        )
+        block.tag = self.tag + j
+        block.scheduled_cycle = self.scheduled_cycle
+        return block
+
     def __repr__(self) -> str:
         return (
             f"Block(tag={self.tag}, frames={self.k}, words={self.size}, "

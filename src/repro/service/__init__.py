@@ -6,17 +6,23 @@ loop: verify every batch, retry misdelivered words with backoff,
 diagnose via BIST probes and syndrome decoding, quarantine the
 confirmed fault and fail over to a rearrangeable Benes spare plane.
 
-Entry point: :class:`ResilientFabric`.  Book-keeping types
-(:class:`HealthState`, :class:`FaultEvent`, :class:`ServiceCounters`,
-:class:`HealthMonitor`) live in :mod:`repro.service.registry`.
+Two implementations of one lifecycle:
+
+* :class:`FaultPolicy` — the serving form, on the compiled kernels: a
+  :class:`~repro.server.planes.BackendPlane` carrying one routes on
+  ``bnb`` under a :class:`~repro.core.plan.FaultMask`, runs BIST as
+  one batched kernel call and fails over to the ``krbenes`` backend;
+* :class:`ResilientFabric` — the object-model reference and test
+  oracle, on :class:`~repro.core.pipeline.PipelinedBNBFabric` and the
+  object :class:`~repro.baselines.benes.BenesNetwork`.
+
+Book-keeping types (:class:`HealthState`, :class:`FaultEvent`,
+:class:`ServiceCounters`, :class:`HealthMonitor`) live in
+:mod:`repro.service.registry`.
 """
 
-from .fabric import (
-    BatchResult,
-    CompiledBenesFailover,
-    ResilientFabric,
-    ResilientVectorFabric,
-)
+from .fabric import BatchResult, ResilientFabric
+from .policy import FaultPolicy
 from .registry import (
     FaultEvent,
     FaultRegistry,
@@ -27,8 +33,7 @@ from .registry import (
 
 __all__ = [
     "ResilientFabric",
-    "ResilientVectorFabric",
-    "CompiledBenesFailover",
+    "FaultPolicy",
     "BatchResult",
     "FaultEvent",
     "FaultRegistry",

@@ -31,48 +31,33 @@ word on its addressed line** (mode ``clean``, ``degraded`` or
 :class:`~repro.exceptions.FaultServiceError` subclass naming the
 exhausted resource.
 
-:class:`ResilientVectorFabric` runs the same control loop on the
-compiled vector engine: the primary is a
-:class:`~repro.core.pipeline_fast.VectorPipelinedFabric` whose faults
-are a :class:`~repro.core.plan.FaultMask`, BIST probes enter the
-pipeline back to back
-(:meth:`~repro.faults.bist.BISTSchedule.run_pipelined`), and the spare
-is a :class:`CompiledBenesFailover` — one gather plan compiled per
-localized fault set instead of an object-graph walk per batch, with a
-sampled cross-check against the real
-:class:`~repro.baselines.benes.BenesNetwork` looping algorithm.
+:class:`~repro.service.policy.FaultPolicy` runs the same lifecycle on
+the compiled kernels for the serving planes; this class stays the
+readable reference and the oracle the policy is tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.benes import BenesNetwork
 from ..core.pipeline import PipelinedBNBFabric, stuck_control_override
-from ..core.pipeline_fast import VectorPipelinedFabric
-from ..core.plan import FaultMask, build_fault_mask
 from ..core.traffic import complete_partial_permutation
 from ..core.words import Word
-from ..exceptions import (
-    FaultServiceError,
-    LocalizationAmbiguousError,
-    QuarantineExhaustedError,
-    RetryBudgetExceededError,
-)
+from ..exceptions import QuarantineExhaustedError, RetryBudgetExceededError
 from ..faults.bist import BISTSchedule, shared_bist_schedule
 from ..faults.injector import SwitchCoordinate
 from ..faults.localization import LocalizationResult, localize
-from .registry import FaultEvent, FaultRegistry, HealthState, ServiceCounters
+from .registry import (
+    FaultEvent,
+    FaultRegistry,
+    HealthState,
+    ServiceCounters,
+    service_summary,
+)
 
-__all__ = [
-    "ResilientFabric",
-    "ResilientVectorFabric",
-    "CompiledBenesFailover",
-    "BatchResult",
-]
+__all__ = ["ResilientFabric", "BatchResult"]
 
 
 @dataclasses.dataclass
@@ -180,7 +165,8 @@ class ResilientFabric:
         return self.registry.state
 
     @property
-    def events(self) -> List[FaultEvent]:
+    def events(self) -> Deque[FaultEvent]:
+        """The registry's event log (its last ``EVENT_LOG_LIMIT``)."""
         return self.registry.events
 
     def add_listener(self, listener) -> None:
@@ -381,14 +367,6 @@ class ResilientFabric:
                 )
         return list(outputs)
 
-    def _prepare_failover(self, result: LocalizationResult, tag: Any) -> None:
-        """Hook between quarantine and failover; engine-specific.
-
-        The object fabric's Benes spare recomputes Waksman's looping
-        algorithm per batch, so there is nothing to set up; the vector
-        fabric compiles its failover plan here.
-        """
-
     def inject_stuck_control(
         self, coordinate: SwitchCoordinate, value: int
     ) -> None:
@@ -420,16 +398,12 @@ class ResilientFabric:
             value=value,
         )
 
-    def _probe_pass(self, tag: Any):
-        """Route the BIST schedule through the primary; engine-specific."""
-        return self.schedule.run(
+    def _run_bist(self, tag: Any):
+        self.counters.bist_runs += 1
+        observations = self.schedule.run(
             lambda words: self.pipeline.route_batch(words, tag=(tag, "bist")),
             on_probe=self.probe_hook,
         )
-
-    def _run_bist(self, tag: Any):
-        self.counters.bist_runs += 1
-        observations = self._probe_pass(tag)
         dirty = sum(not observation.clean for observation in observations)
         self.registry.emit(
             "bist", tag,
@@ -480,7 +454,6 @@ class ResilientFabric:
                 f"({len(result.coordinates)} switch(es) implicated)",
                 coordinates=len(result.coordinates),
             )
-            self._prepare_failover(result, tag)
             self.counters.failovers += 1
             self.registry.emit(
                 "failover", tag, "traffic fails over to the Benes spare plane"
@@ -495,244 +468,6 @@ class ResilientFabric:
 
     def summary(self) -> str:
         """One-paragraph plain-text status (CLI-friendly)."""
-        counters = self.counters
-        lines = [
-            f"state     : {self.state.value}",
-            f"bist      : {self.schedule.probe_count} probes "
-            f"(N={self.n}, both control values of every switch)",
-            f"batches   : {counters.batches} "
-            f"(clean {counters.batches_clean}, degraded "
-            f"{counters.batches_degraded}, failover {counters.batches_failover})",
-            f"words     : {counters.words_delivered} delivered "
-            f"(clean {counters.words_clean}, degraded "
-            f"{counters.words_degraded}, failover {counters.words_failover})",
-            f"faults    : {counters.detections} detections, "
-            f"{counters.localizations} localizations, "
-            f"{counters.failovers} failovers, {counters.retries} retries "
-            f"({counters.backoff_cycles} backoff cycles)",
-        ]
-        if self.registry.confirmed_faults:
-            body = ", ".join(
-                f"({c.main_stage},{c.nested},{c.nested_stage},{c.box},"
-                f"{c.switch})/stuck-{v}"
-                for c, v in self.registry.confirmed_faults
-            )
-            lines.append(f"confirmed : {body}")
-        return "\n".join(lines)
-
-
-class CompiledBenesFailover:
-    """The spare plane as a compiled routing plan, not a graph walk.
-
-    A fault-free rearrangeable spare delivers every admissible frame to
-    its destination permutation — which for the service's full-frame
-    batches means the output arrangement is exactly the stable sort of
-    the words by address.  So once a fault set is localized and the
-    primary quarantined, the failover "plan" compiles to a single
-    argsort gather (:meth:`compile_for`, once per localized fault set),
-    and serving a batch is one vectorized reorder instead of running
-    Waksman's looping algorithm through the object
-    :class:`~repro.baselines.benes.BenesNetwork` per batch.
-
-    The object network stays on board as the verification oracle: the
-    plan is validated at compile time on canonical probes, and every
-    ``verify_every``-th served batch is cross-checked against a real
-    Benes route end to end.  (The serving plane above still checks
-    every delivered word of every frame at its boundary.)
-    """
-
-    def __init__(self, m: int, verify_every: int = 16) -> None:
-        if m < 1:
-            raise ValueError(f"the failover plan needs m >= 1, got {m}")
-        self.m = m
-        self.n = 1 << m
-        self.verify_every = max(1, verify_every)
-        self.network = BenesNetwork(m)
-        self.fault_set: Optional[Tuple[Any, ...]] = None
-        self.plans_compiled = 0
-        self.batches = 0
-        self.cross_checks = 0
-
-    @property
-    def compiled(self) -> bool:
-        return self.fault_set is not None
-
-    def compile_for(self, fault_set: Sequence[Any]) -> None:
-        """Build (and validate) the failover plan for one fault set.
-
-        *fault_set* is the localized hypothesis class — it parameterizes
-        the plan identity (a new quarantine compiles a new plan), not
-        the gather itself: the spare is fault-free, so the same sorted
-        arrangement serves any primary fault.  Recompiling for the
-        fault set already in force is a no-op.
-        """
-        if self.compiled and self.fault_set == tuple(fault_set):
-            return
-        self.fault_set = tuple(fault_set)
-        self.plans_compiled += 1
-        for addresses in (range(self.n), reversed(range(self.n))):
-            words = [
-                Word(address=address, payload=("failover-compile", j))
-                for j, address in enumerate(addresses)
-            ]
-            self._cross_check(words, self._gather(words))
-
-    def _gather(self, words: Sequence[Word]) -> List[Word]:
-        addresses = np.fromiter(
-            (word.address for word in words), dtype=np.int64, count=len(words)
+        return service_summary(
+            self.registry, self.schedule.probe_count, self.n
         )
-        order = np.argsort(addresses)
-        return [words[source] for source in order.tolist()]
-
-    def _cross_check(
-        self, words: Sequence[Word], outputs: Sequence[Word]
-    ) -> None:
-        reference, _trace = self.network.route(list(words))
-        if [(w.address, w.payload) for w in reference] != [
-            (w.address, w.payload) for w in outputs
-        ]:
-            raise FaultServiceError(
-                "compiled failover plan disagrees with the Benes looping "
-                "algorithm; failover plane compromised"
-            )
-
-    def route(self, words: Sequence[Word]) -> Tuple[List[Word], None]:
-        """Serve one batch; same ``(outputs, trace)`` surface as the
-        object :class:`~repro.baselines.benes.BenesNetwork`."""
-        if not self.compiled:
-            raise FaultServiceError(
-                "failover plan not compiled; quarantine must localize a "
-                "fault set first"
-            )
-        self.batches += 1
-        outputs = self._gather(words)
-        if (self.batches - 1) % self.verify_every == 0:
-            self.cross_checks += 1
-            self._cross_check(words, outputs)
-        return outputs, None
-
-
-class ResilientVectorFabric(ResilientFabric):
-    """The resilient control loop on the compiled vector engine.
-
-    Same ``submit`` / ``submit_words`` / ``check`` surface and the same
-    :class:`~repro.service.registry.FaultEvent` /
-    :class:`~repro.service.registry.HealthMonitor` registry wiring as
-    :class:`ResilientFabric`, with the three hot paths swapped for
-    their vector forms:
-
-    * the primary plane is a
-      :class:`~repro.core.pipeline_fast.VectorPipelinedFabric`, whose
-      physical faults are a :class:`~repro.core.plan.FaultMask` applied
-      inside the gather kernels;
-    * BIST probes enter the pipeline back to back
-      (``P + m`` cycles instead of ``P * (m + 1)``) and their syndromes
-      decode from batched arrays;
-    * the Benes spare is a :class:`CompiledBenesFailover` plan,
-      compiled once per localized fault set at quarantine time (the
-      ``failover-plan`` event) and cross-checked on a sample of served
-      batches.
-    """
-
-    def __init__(
-        self,
-        m: int,
-        pipeline: Optional[VectorPipelinedFabric] = None,
-        fault_mask: Optional[FaultMask] = None,
-        spare: Optional[Any] = "benes",
-        schedule: Optional[BISTSchedule] = None,
-        retry_budget: int = 4,
-        backoff_base: int = 1,
-        strict_localization: bool = False,
-        spare_verify_every: int = 16,
-    ) -> None:
-        if pipeline is None:
-            pipeline = VectorPipelinedFabric(
-                m, retain_delivered=False, fault_mask=fault_mask
-            )
-        elif fault_mask is not None:
-            pipeline.set_fault_mask(fault_mask)
-        if spare == "benes":
-            spare = CompiledBenesFailover(m, verify_every=spare_verify_every)
-        super().__init__(
-            m,
-            pipeline=pipeline,
-            spare=spare,
-            schedule=schedule,
-            retry_budget=retry_budget,
-            backoff_base=backoff_base,
-            strict_localization=strict_localization,
-        )
-        # The declarative stuck-fault list behind the pipeline's mask;
-        # live injection rebuilds the mask from the accumulated union.
-        mask = self.pipeline.fault_mask
-        self._injected_stuck = list(mask.stuck) if mask is not None else []
-        self._dead_links = list(mask.dead) if mask is not None else []
-
-    # ------------------------------------------------------------------
-    # Engine-specific hooks
-    # ------------------------------------------------------------------
-    def inject_stuck_control(
-        self, coordinate: SwitchCoordinate, value: int
-    ) -> None:
-        """Add one stuck fault to the live primary's mask (accumulative)."""
-        self._injected_stuck.append(
-            (
-                (
-                    coordinate.main_stage,
-                    coordinate.nested,
-                    coordinate.nested_stage,
-                    coordinate.box,
-                    coordinate.switch,
-                ),
-                int(value),
-            )
-        )
-        self.pipeline.set_fault_mask(
-            build_fault_mask(
-                self.m, stuck=self._injected_stuck, dead_links=self._dead_links
-            )
-        )
-        self.registry.emit(
-            "injection", None,
-            f"stuck-{value} control injected at "
-            f"({coordinate.main_stage},{coordinate.nested},"
-            f"{coordinate.nested_stage},{coordinate.box},{coordinate.switch})",
-            value=int(value),
-        )
-
-    def _probe_pass(self, tag: Any):
-        return self.schedule.run_pipelined(
-            self.pipeline, on_probe=self.probe_hook
-        )
-
-    def _prepare_failover(self, result: LocalizationResult, tag: Any) -> None:
-        if not isinstance(self.spare, CompiledBenesFailover):
-            return
-        self.spare.compile_for(result.candidates)
-        self.registry.emit(
-            "failover-plan", tag,
-            f"compiled Benes failover plan #{self.spare.plans_compiled} "
-            f"for {len(result.candidates)} hypothesis(es)",
-            plan=self.spare.plans_compiled,
-            hypotheses=len(result.candidates),
-        )
-
-    def _route_spare(self, words: Sequence[Word], tag: Any) -> List[Word]:
-        if not isinstance(self.spare, CompiledBenesFailover):
-            return super()._route_spare(words, tag)
-        if not self.spare.compiled:
-            # Quarantine always passes through _prepare_failover; this
-            # covers a registry restored to quarantined out of band.
-            self.spare.compile_for(self.registry.confirmed_faults)
-        outputs, _trace = self.spare.route(list(words))
-        arrived = np.fromiter(
-            (word.address for word in outputs), dtype=np.int64, count=self.n
-        )
-        if not np.array_equal(arrived, np.arange(self.n, dtype=np.int64)):
-            line = int(np.nonzero(arrived != np.arange(self.n))[0][0])
-            raise QuarantineExhaustedError(
-                f"spare plane misrouted a word addressed to "
-                f"{int(arrived[line])} onto line {line}"
-            )
-        return list(outputs)

@@ -6,8 +6,8 @@ health state machine
     ``healthy -> suspect -> confirmed -> quarantined``
 
 (suspect can also fall back to healthy when a BIST pass finds nothing),
-an append-only log of structured :class:`FaultEvent` records, and the
-running :class:`ServiceCounters`.  Listeners subscribe callable hooks
+a log of the last :data:`EVENT_LOG_LIMIT` structured
+:class:`FaultEvent` records, and the running :class:`ServiceCounters`.  Listeners subscribe callable hooks
 in the style of :mod:`repro.sim.monitors` — each emitted event is
 pushed to every listener, and :class:`HealthMonitor` is the bundled
 probe-like consumer that keeps a per-kind history.
@@ -15,18 +15,21 @@ probe-like consumer that keeps a per-kind history.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..exceptions import FaultServiceError
 
 __all__ = [
+    "EVENT_LOG_LIMIT",
     "HealthState",
     "FaultEvent",
     "ServiceCounters",
     "FaultRegistry",
     "HealthMonitor",
+    "service_summary",
 ]
 
 
@@ -38,6 +41,11 @@ class HealthState(enum.Enum):
     CONFIRMED = "confirmed"
     QUARANTINED = "quarantined"
 
+
+#: Events a registry's log keeps.  A serving plane emits one
+#: ``delivery`` event per frame, so the log is a ring: older events
+#: fall off its front (listeners still see every one).
+EVENT_LOG_LIMIT = 1024
 
 #: Legal state transitions; anything else is a service bug.
 _TRANSITIONS = {
@@ -54,8 +62,7 @@ class FaultEvent:
 
     ``kind`` is one of: ``detection``, ``retry``, ``bist``,
     ``localization``, ``cleared``, ``confirmation``, ``quarantine``,
-    ``failover``, ``failover-plan`` (a vector fabric compiled its spare
-    routing plan), ``injection`` (an operator injected a fault into the
+    ``failover``, ``injection`` (an operator injected a fault into the
     live primary), ``delivery``.  ``data`` carries kind-specific fields
     (syndrome sizes, candidate counts, backoff cycles, ...).
     """
@@ -97,11 +104,15 @@ class ServiceCounters:
 
 
 class FaultRegistry:
-    """Health state machine + event log + listener fan-out."""
+    """Health state machine + bounded event log + listener fan-out."""
 
     def __init__(self) -> None:
         self.state = HealthState.HEALTHY
-        self.events: List[FaultEvent] = []
+        #: The last :data:`EVENT_LOG_LIMIT` events, oldest first.
+        self.events: Deque[FaultEvent] = collections.deque(
+            maxlen=EVENT_LOG_LIMIT
+        )
+        self._emitted = 0
         self.counters = ServiceCounters()
         #: The confirmed fault's observationally-equivalent hypothesis
         #: class — ``(coordinate, stuck value)`` pairs — once confirmed.
@@ -123,12 +134,13 @@ class FaultRegistry:
         **data: Any,
     ) -> FaultEvent:
         event = FaultEvent(
-            sequence=len(self.events),
+            sequence=self._emitted,
             kind=kind,
             batch=batch,
             detail=detail,
             data=data,
         )
+        self._emitted += 1
         self.events.append(event)
         for listener in self._listeners:
             listener(event)
@@ -157,10 +169,41 @@ class FaultRegistry:
         self.confirmed_faults = list(candidates)
 
     def event_kinds(self) -> Dict[str, int]:
+        """How many events of each kind the log holds."""
         histogram: Dict[str, int] = {}
         for event in self.events:
             histogram[event.kind] = histogram.get(event.kind, 0) + 1
         return histogram
+
+
+def service_summary(registry: FaultRegistry, probes: int, n: int) -> str:
+    """The plain-text status both fault services print (the ``faults``
+    CLI's summary): state, BIST size, batch and word counts by mode,
+    fault counters and the confirmed fault class."""
+    counters = registry.counters
+    lines = [
+        f"state     : {registry.state.value}",
+        f"bist      : {probes} probes "
+        f"(N={n}, both control values of every switch)",
+        f"batches   : {counters.batches} "
+        f"(clean {counters.batches_clean}, degraded "
+        f"{counters.batches_degraded}, failover {counters.batches_failover})",
+        f"words     : {counters.words_delivered} delivered "
+        f"(clean {counters.words_clean}, degraded "
+        f"{counters.words_degraded}, failover {counters.words_failover})",
+        f"faults    : {counters.detections} detections, "
+        f"{counters.localizations} localizations, "
+        f"{counters.failovers} failovers, {counters.retries} retries "
+        f"({counters.backoff_cycles} backoff cycles)",
+    ]
+    if registry.confirmed_faults:
+        body = ", ".join(
+            f"({c.main_stage},{c.nested},{c.nested_stage},{c.box},"
+            f"{c.switch})/stuck-{v}"
+            for c, v in registry.confirmed_faults
+        )
+        lines.append(f"confirmed : {body}")
+    return "\n".join(lines)
 
 
 class HealthMonitor:

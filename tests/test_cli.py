@@ -217,6 +217,17 @@ class TestFaults:
         assert main(["faults", "12"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_vector_engine_prints_what_the_oracle_prints(self, capsys):
+        """``--engine vector`` drives the serving fault policy; for the
+        same fault and traffic it prints the object service's summary
+        and event log line for line."""
+        argv = ["faults", "8", "--stuck", "2,0,0,0,0", "--batches", "4"]
+        assert main([*argv, "--engine", "object"]) == 0
+        object_out = capsys.readouterr().out
+        assert main([*argv, "--engine", "vector"]) == 0
+        assert capsys.readouterr().out == object_out
+        assert "state     : quarantined" in object_out
+
     def test_report(self, capsys):
         assert main(["faults", "8", "--report"]) == 0
         out = capsys.readouterr().out
@@ -242,10 +253,21 @@ class TestServe:
         assert stats["latency_cycles"]["p50"] >= 1
 
     def test_demo_resilient(self, capsys):
-        assert main(["serve", "8", "--demo", "24", "--resilient", "--json"]) == 0
+        assert main(
+            [
+                "serve", "8", "--demo", "64",
+                "--resilient", "--engine", "batch", "--json",
+            ]
+        ) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["delivered_words"] == 24
-        assert stats["planes"][0]["kind"] == "ResilientPlane"
+        assert stats["delivered_words"] == 64
+        plane = stats["planes"][0]
+        assert (plane["kind"], plane["backend"], plane["batch_window"]) == (
+            "BackendPlane",
+            "bnb",
+            32,
+        )
+        assert plane["service_state"] == "healthy"
 
     def test_demo_vector_engine(self, capsys):
         assert main(
@@ -270,8 +292,13 @@ class TestServe:
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 24
-        assert stats["planes"][0]["kind"] == "ResilientPlane"
-        assert stats["planes"][0]["engine"] == "vector"
+        plane = stats["planes"][0]
+        assert (plane["kind"], plane["backend"], plane["depth"]) == (
+            "BackendPlane",
+            "bnb",
+            3,
+        )
+        assert plane["service_state"] == "healthy"
 
     @pytest.mark.parametrize("engine", engine_names())
     def test_demo_serves_on_every_engine(self, capsys, engine):
@@ -290,11 +317,17 @@ class TestServe:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "8", "--resilient", "--engine", "batch"],
+            ["serve", "8", "--resilient"],
+            ["serve", "8", "--resilient", "--engine", "msorter"],
             ["serve", "8", "--capacity", "0"],
             ["replay", "8", "--capacity", "0"],
         ],
-        ids=["serve-resilient-batch", "serve-capacity", "replay-capacity"],
+        ids=[
+            "serve-resilient-object",
+            "serve-resilient-msorter",
+            "serve-capacity",
+            "replay-capacity",
+        ],
     )
     def test_refused_gateway_config_is_one_line_exit_2(self, capsys, argv):
         """A configuration ``GatewayConfig`` refuses reaches the shell

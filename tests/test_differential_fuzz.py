@@ -88,51 +88,69 @@ def frame_schedules(draw):
     return m, schedule
 
 
-@settings(max_examples=60, deadline=None)
-@given(frame_schedules())
-def test_vector_pipeline_matches_object_pipeline(case):
-    """The compiled numpy engine and the object engine, driven with the
-    identical sequence of (partial, idle-filled) frames and bubbles,
-    must produce identical per-cycle deliveries — tag, address and
-    payload order — and identical latency profiles."""
-    from repro.core.pipeline import PipelinedBNBFabric
-    from repro.core.pipeline_fast import VectorPipelinedFabric
+def _object_deliveries(pipeline, schedule):
+    """Drive the object pipeline with *schedule* (idle-filled frames
+    and bubbles); return each frame's delivered (address, payload)s."""
     from repro.core.traffic import complete_partial_permutation
 
-    m, schedule = case
-    obj = PipelinedBNBFabric(m)
-    vec = VectorPipelinedFabric(m)
+    delivered = []
     for tag, requests in enumerate(schedule):
         if requests is not None:
             full, is_real = complete_partial_permutation(requests)
-            words = [
-                Word(
-                    address=address,
-                    payload=(tag, line) if is_real[line] else None,
-                )
-                for line, address in enumerate(full)
-            ]
-            obj.offer_words(list(words), tag=tag)
-            vec.offer_words(list(words), tag=tag)
-        done_obj = obj.step()
-        done_vec = vec.step()
-        assert [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_obj
-        ] == [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_vec
+            pipeline.offer_words(
+                [
+                    Word(
+                        address=address,
+                        payload=(tag, line) if is_real[line] else None,
+                    )
+                    for line, address in enumerate(full)
+                ],
+                tag=tag,
+            )
+        delivered.extend(pipeline.step())
+    delivered.extend(pipeline.drain())
+    return {
+        tag: [(w.address, w.payload) for w in outputs]
+        for tag, outputs in delivered
+    }
+
+
+def _kernel_deliveries(m, schedule, mask=None):
+    """The same frames routed in one ``route_frame_batch`` call."""
+    from repro.core.pipeline_fast import route_frame_batch
+    from repro.core.traffic import complete_partial_permutation
+
+    frames = {
+        tag: complete_partial_permutation(requests)
+        for tag, requests in enumerate(schedule)
+        if requests is not None
+    }
+    if not frames:
+        return {}
+    sources = route_frame_batch(
+        m, np.array([full for full, _ in frames.values()]), mask=mask
+    )
+    return {
+        tag: [
+            (full[line], (tag, line) if is_real[line] else None)
+            for line in row.tolist()
         ]
-    drained_obj = obj.drain()
-    drained_vec = vec.drain()
-    assert [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in drained_obj
-    ] == [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in drained_vec
-    ]
-    assert obj.stats().latencies == vec.stats().latencies
+        for (tag, (full, is_real)), row in zip(frames.items(), sources)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_schedules())
+def test_vector_pipeline_matches_object_pipeline(case):
+    """The compiled frame kernel and the object pipeline, fed the
+    identical (partial, idle-filled) frames, deliver every frame in the
+    identical arrangement — address and payload order."""
+    from repro.core.pipeline import PipelinedBNBFabric
+
+    m, schedule = case
+    assert _kernel_deliveries(m, schedule) == _object_deliveries(
+        PipelinedBNBFabric(m), schedule
+    )
 
 
 @st.composite
@@ -177,60 +195,36 @@ def faulted_frame_schedules(draw):
 @settings(max_examples=40, deadline=None)
 @given(faulted_frame_schedules())
 def test_faulty_vector_pipeline_matches_faulty_object_pipeline(case):
-    """A fault set rendered as a vector FaultMask and as composed
-    object-model control overrides must corrupt identically: same
-    per-cycle deliveries under partial frames and idle bubbles."""
+    """A fault set rendered as a FaultMask on ``route_frame_batch`` and
+    as composed object-model control overrides must corrupt
+    identically, frame by frame, partial frames included."""
     from repro.core.pipeline import PipelinedBNBFabric
-    from repro.core.pipeline_fast import VectorPipelinedFabric
-    from repro.core.traffic import complete_partial_permutation
     from repro.faults import fault_mask_for, stuck_override_set
 
     m, faults, schedule = case
-    obj = PipelinedBNBFabric(m, control_override=stuck_override_set(faults))
-    vec = VectorPipelinedFabric(m, fault_mask=fault_mask_for(m, faults))
-    for tag, requests in enumerate(schedule):
-        if requests is not None:
-            full, is_real = complete_partial_permutation(requests)
-            words = [
-                Word(
-                    address=address,
-                    payload=(tag, line) if is_real[line] else None,
-                )
-                for line, address in enumerate(full)
-            ]
-            obj.offer_words(list(words), tag=tag)
-            vec.offer_words(list(words), tag=tag)
-        done_obj = obj.step()
-        done_vec = vec.step()
-        assert [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_obj
-        ] == [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_vec
-        ]
-    assert [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in obj.drain()
-    ] == [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in vec.drain()
-    ]
+    assert _kernel_deliveries(
+        m, schedule, mask=fault_mask_for(m, faults)
+    ) == _object_deliveries(
+        PipelinedBNBFabric(m, control_override=stuck_override_set(faults)),
+        schedule,
+    )
 
 
 @settings(max_examples=15, deadline=None)
 @given(faulted_frame_schedules())
 def test_faulty_resilient_services_agree(case):
     """The whole robustness control loop, differentially: the object
-    ResilientFabric and the vector ResilientVectorFabric seeded with
-    the same fault set must agree on BIST syndromes, per-batch
-    delivery modes, the quarantine decision and the confirmed
-    hypothesis class."""
+    ResilientFabric and the serving FaultPolicy seeded with the same
+    fault set and fed the same (partial) frames must agree on every
+    frame's mode and retry count, the BIST syndromes, every counter,
+    the health state and the confirmed hypothesis class."""
     from repro.core.pipeline import PipelinedBNBFabric
+    from repro.core.traffic import complete_partial_permutation
+    from repro.exceptions import FaultServiceError
     from repro.faults import fault_mask_for, stuck_override_set
-    from repro.service import ResilientFabric, ResilientVectorFabric
+    from repro.service import FaultPolicy, ResilientFabric
 
-    m, faults, _ = case
+    m, faults, schedule = case
     n = 1 << m
     obj = ResilientFabric(
         m,
@@ -238,26 +232,49 @@ def test_faulty_resilient_services_agree(case):
             m, control_override=stuck_override_set(faults)
         ),
     )
-    vec = ResilientVectorFabric(m, fault_mask=fault_mask_for(m, faults))
-    syndromes = {"obj": [], "vec": []}
+    policy = FaultPolicy(m, mask=fault_mask_for(m, faults))
+    syndromes = {"obj": [], "policy": []}
     obj.probe_hook = lambda probe, obs: syndromes["obj"].append(obs.syndrome)
-    vec.probe_hook = lambda probe, obs: syndromes["vec"].append(obs.syndrome)
-    permutation = Permutation(list(range(1, n)) + [0])
-    modes = {"obj": [], "vec": []}
-    for index in range(3):
-        for name, fabric in (("obj", obj), ("vec", vec)):
-            result = fabric.submit(permutation.to_list(), tag=index)
-            modes[name].append(result.mode)
-            assert [w.address for w in result.outputs] == list(range(n))
-    # Proactive BIST on whichever fabric has not yet self-diagnosed.
-    for name, fabric in (("obj", obj), ("vec", vec)):
-        if not fabric.registry.is_quarantined:
-            fabric.check(tag="fuzz-bist")
-    assert modes["obj"] == modes["vec"]
-    assert syndromes["obj"] == syndromes["vec"]
-    assert obj.state is vec.state
+    policy.probe_hook = lambda probe, obs: syndromes["policy"].append(
+        obs.syndrome
+    )
+    # Real words first, as the gateway composes frames.
+    frames = [
+        [dest for dest in requests if dest is not None]
+        for requests in schedule
+        if requests is not None
+    ] + [list(range(1, n)) + [0]]
+
+    def outcome(submit):
+        try:
+            return submit()
+        except FaultServiceError as error:
+            return type(error).__name__
+
+    for tag, real in enumerate(frames):
+        full, _ = complete_partial_permutation(real + [None] * (n - len(real)))
+        words = [
+            Word(address=address, payload=line if line < len(real) else None)
+            for line, address in enumerate(full)
+        ]
+
+        def oracle():
+            result = obj.submit_words(words, tag=tag)
+            assert [w.address for w in result.outputs if w] == sorted(real)
+            return result.mode, result.retries
+
+        assert outcome(
+            lambda: policy.submit(full, tag=tag, count=len(real))
+        ) == outcome(oracle)
+    # Proactive BIST on whichever service has not yet self-diagnosed.
+    for service in (obj, policy):
+        if not service.registry.is_quarantined:
+            service.check(tag="fuzz-bist")
+    assert syndromes["obj"] == syndromes["policy"]
+    assert obj.counters == policy.counters
+    assert obj.state is policy.state
     assert sorted(obj.registry.confirmed_faults) == sorted(
-        vec.registry.confirmed_faults
+        policy.registry.confirmed_faults
     )
 
 

@@ -185,30 +185,52 @@ M3_IDS = [case_id(case) for case in M3_CASES]
 
 @pytest.mark.parametrize("coordinate, value", M3_CASES, ids=M3_IDS)
 def test_vector_resilient_sweep_m3(coordinate, value):
-    """ISSUE acceptance sweep, re-run on the compiled engine: for every
-    single stuck-control fault at m=3 the vector resilient service
-    delivers 100% of every batch, quarantines the primary, and its
-    confirmed hypothesis class contains the true fault."""
-    from repro.faults import fault_mask_for
-    from repro.service import HealthState, ResilientVectorFabric
+    """Exhaustive single-fault sweep of the serving fault policy against
+    the object oracle: for every stuck control at m=3, the window-1
+    policy and ``ResilientFabric`` fed the same frames agree on every
+    frame's mode and retry count, the BIST syndromes, every
+    ``ServiceCounters`` field, the health state and the confirmed
+    class — which contains the true fault once the primary is
+    quarantined, after which the spare keeps delivering."""
+    from repro.core.pipeline import PipelinedBNBFabric
+    from repro.faults import fault_mask_for, stuck_override_set
+    from repro.service import FaultPolicy, HealthState, ResilientFabric
 
-    fabric = ResilientVectorFabric(
-        3, fault_mask=fault_mask_for(3, [(coordinate, value)])
+    fault = [(coordinate, value)]
+    policy = FaultPolicy(3, mask=fault_mask_for(3, fault))
+    oracle = ResilientFabric(
+        3,
+        pipeline=PipelinedBNBFabric(
+            3, control_override=stuck_override_set(fault)
+        ),
     )
+    syndromes = {"policy": [], "oracle": []}
+    policy.probe_hook = lambda p, o: syndromes["policy"].append(o.syndrome)
+    oracle.probe_hook = lambda p, o: syndromes["oracle"].append(o.syndrome)
     n = 8
-    for seed in range(3):
-        pi = random_permutation(n, rng=seed)
-        result = fabric.submit(pi.to_list(), tag=seed)
+
+    def both(pi, tag):
+        result = oracle.submit(pi.to_list(), tag=tag)
         # Recovered delivery is total: every output line got its word.
-        assert result.delivered == n
         assert [w.address for w in result.outputs] == list(range(n))
-    if not fabric.registry.is_quarantined:
-        # The seeds happened to mask the fault; scheduled BIST cannot.
-        fabric.check(tag="scheduled")
-    assert fabric.state is HealthState.QUARANTINED
-    assert (coordinate, value) in fabric.registry.confirmed_faults
+        assert policy.submit(pi.to_list(), tag=tag) == (
+            result.mode,
+            result.retries,
+        )
+        return result.mode
+
+    for seed in range(3):
+        both(random_permutation(n, rng=seed), seed)
+    for service in (policy, oracle):
+        if not service.registry.is_quarantined:
+            # The seeds happened to mask the fault; scheduled BIST cannot.
+            service.check(tag="scheduled")
     # The spare path stays correct after quarantine, too.
-    pi = random_permutation(n, rng=99)
-    result = fabric.submit(pi.to_list(), tag="post")
-    assert result.mode == "failover"
-    assert [w.address for w in result.outputs] == list(range(n))
+    assert both(random_permutation(n, rng=99), "post") == "failover"
+    assert syndromes["policy"] == syndromes["oracle"]
+    assert policy.counters == oracle.counters
+    assert policy.state is oracle.state is HealthState.QUARANTINED
+    assert sorted(policy.registry.confirmed_faults) == sorted(
+        oracle.registry.confirmed_faults
+    )
+    assert (coordinate, value) in policy.registry.confirmed_faults

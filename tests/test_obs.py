@@ -554,11 +554,11 @@ class TestGatewayInstrumentation:
 
     def test_resilient_plane_service_metrics(self):
         gateway = AsyncGateway(
-            GatewayConfig(m=2, planes=1, resilient=True)
+            GatewayConfig(m=2, planes=1, resilient=True, engine="vector")
         )
         instr = GatewayInstrumentation(gateway, registry=Registry()).attach()
         plane = gateway.planes[0]
-        plane.fabric.check()  # proactive BIST pass fires the probe hook
+        plane.policy.check()  # proactive BIST pass fires the probe hook
         snap = instr.metrics_snapshot()
         probes = snap["repro_service_bist_probes_total"]["samples"]
         assert probes and all(

@@ -1,143 +1,120 @@
-"""The vectorized pipelined fabric: same contract as the object engine."""
+"""The compiled BNB kernels, and the pipeline timing the vector engine
+serves them on.
+
+``--engine vector`` is a :class:`BackendPlane` routing on the ``bnb``
+backend with ``batch_window=1, depth=m``: one frame enters per step
+and leaves ``m`` steps later, the schedule of the object model's
+:class:`PipelinedBNBFabric`.  These tests pin that timing against the
+object engine, and the frame kernels' arrangement against the object
+network.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import VectorPipelinedFabric, Word, route_frame_sources
+from repro.core import Word, route_frame_sources
 from repro.core.pipeline import PipelinedBNBFabric
-from repro.exceptions import NotAPermutationError
 from repro.permutations import random_permutation
+from repro.server import BackendPlane, Block
 
 
 def _words(pi, tag):
     return [Word(address=a, payload=(tag, j)) for j, a in enumerate(pi)]
 
 
+def _frame(pi, tag):
+    """A one-frame block carrying the full permutation *pi*."""
+    n = len(pi)
+    block = Block(
+        np.array([pi], dtype=np.int64),
+        np.array([n], dtype=np.int64),
+        True,
+        np.zeros((n, 4), dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+        np.array(pi, dtype=np.int64),
+    )
+    block.tag = tag
+    return block
+
+
+def _pipeline_plane(m):
+    return BackendPlane(0, m, "bnb", batch_window=1, depth=m)
+
+
 class TestBasicOperation:
     def test_single_batch_latency(self):
-        """Fill latency is m + 1 cycles, exactly like the object engine."""
+        """Fill latency is m + 1 steps, exactly like the object engine."""
         m = 4
-        fabric = VectorPipelinedFabric(m)
-        fabric.offer(random_permutation(1 << m, rng=0).to_list(), tag="a")
-        for cycle in range(m):
-            assert fabric.step() == []
-        completed = fabric.step()
-        assert [tag for tag, _ in completed] == ["a"]
-        assert fabric.stats().fill_latency == m + 1
+        plane = _pipeline_plane(m)
+        plane.offer(_frame(random_permutation(1 << m, rng=0).to_list(), 7))
+        for _ in range(m):
+            assert plane.step() == ([], [])
+        completed, stranded = plane.step()
+        assert [c.block.tag for c in completed] == [7]
+        assert stranded == []
+        assert plane.in_flight == 0
 
     def test_delivery_sorted_with_payload_identity(self):
+        """Routed sources put every word on its addressed line, and the
+        very word objects come back reordered, as on the object
+        pipeline."""
         m = 3
-        fabric = VectorPipelinedFabric(m)
         pi = random_permutation(1 << m, rng=3).to_list()
         words = _words(pi, "t")
-        outputs = fabric.route_batch(words, tag="t")
+        sources = _pipeline_plane(m).backend.route_frame(np.array(pi))
+        outputs = [words[source] for source in sources.tolist()]
         assert [w.address for w in outputs] == list(range(1 << m))
-        # The very objects offered come back, reordered — the serving
-        # layer's boundary verification relies on `is` identity.
         for line, word in enumerate(outputs):
             assert word is words[pi.index(line)]
 
     def test_steady_state_throughput(self):
         m = 3
-        fabric = VectorPipelinedFabric(m)
+        plane = _pipeline_plane(m)
+        delivered = 0
         for k in range(40):
-            fabric.offer(
-                random_permutation(1 << m, rng=k).to_list(), tag=k
-            )
-            fabric.step()
-        completed = fabric.drain()
-        stats = fabric.stats()
-        assert stats.accepted == stats.delivered == 40
-        assert fabric.delivered_count == 40
-        assert completed  # drain returned the tail
+            plane.offer(_frame(random_permutation(1 << m, rng=k).to_list(), k))
+            delivered += len(plane.step()[0])
+        while plane.in_flight:
+            delivered += len(plane.step()[0])
+        assert delivered == plane.frames_delivered == 40
+        # One kernel call per frame: the pipeline's one-frame-per-cycle.
+        assert plane.batches_routed == 40
 
     def test_bubbles_pass_through(self):
-        fabric = VectorPipelinedFabric(2)
-        fabric.offer([1, 0, 3, 2], tag="x")
-        fabric.step()
-        fabric.idle(5)  # bubbles must not disturb the in-flight batch
-        assert fabric.delivered_count == 1
-
-
-class TestSurfaceParity:
-    def test_try_offer_words_backpressure(self):
-        fabric = VectorPipelinedFabric(2)
-        words = _words([3, 1, 0, 2], "a")
-        assert fabric.can_accept
-        assert fabric.try_offer_words(words, tag="a")
-        assert not fabric.can_accept
-        assert not fabric.try_offer_words(_words([0, 1, 2, 3], "b"), tag="b")
-        with pytest.raises(ValueError):
-            fabric.offer_words(_words([0, 1, 2, 3], "c"), tag="c")
-
-    def test_try_offer_still_validates(self):
-        fabric = VectorPipelinedFabric(2)
-        with pytest.raises(NotAPermutationError):
-            fabric.try_offer_words(_words([0, 0, 1, 2], "bad"), tag="bad")
-
-    def test_non_permutation_rejected(self):
-        fabric = VectorPipelinedFabric(2)
-        with pytest.raises(NotAPermutationError):
-            fabric.offer([0, 0, 1, 2])
-        with pytest.raises(NotAPermutationError):
-            fabric.offer([0, 1, 2])  # short batch
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            VectorPipelinedFabric(0)
-
-    def test_delivery_hooks_fire_in_order(self):
-        fabric = VectorPipelinedFabric(2)
-        seen = []
-        fabric.add_delivery_hook(lambda tag, outs: seen.append((tag, "h1")))
-        fabric.add_delivery_hook(lambda tag, outs: seen.append((tag, "h2")))
-        fabric.offer([1, 0, 3, 2], tag="a")
-        fabric.step()
-        fabric.offer([2, 3, 0, 1], tag="b")
-        fabric.drain()
-        assert seen == [("a", "h1"), ("a", "h2"), ("b", "h1"), ("b", "h2")]
-
-    def test_retain_delivered_false_bounds_memory(self):
-        fabric = VectorPipelinedFabric(2, retain_delivered=False)
-        for k in range(10):
-            fabric.offer([1, 0, 3, 2], tag=k)
-            fabric.step()
-        fabric.drain()
-        assert fabric.delivered_batches == []
-        assert fabric.delivered_count == 10
-
-    def test_route_batch_requires_idle_fabric(self):
-        fabric = VectorPipelinedFabric(2)
-        fabric.offer([0, 1, 2, 3], tag="in-flight")
-        fabric.step()
-        with pytest.raises(ValueError):
-            fabric.route_batch(_words([1, 0, 3, 2], "late"), tag="late")
+        plane = _pipeline_plane(2)
+        plane.offer(_frame([1, 0, 3, 2], 0))
+        plane.step()
+        for _ in range(5):  # bubbles must not disturb the in-flight frame
+            plane.step()
+        assert plane.frames_delivered == 1
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_object_engine_cycle_for_cycle(self, m):
-        """Identical offer/step schedules produce identical per-cycle
-        deliveries, down to address and payload order."""
+        """Identical offer/step schedules deliver the same frames on the
+        same steps, each arranged as the object pipeline arranges it."""
         n = 1 << m
         obj = PipelinedBNBFabric(m)
-        vec = VectorPipelinedFabric(m)
+        plane = _pipeline_plane(m)
+        frames = {}
         for k in range(3 * m + 4):
             if k % 3 != 2:  # leave bubbles in the schedule
                 pi = random_permutation(n, rng=k).to_list()
+                frames[k] = pi
                 obj.offer_words(_words(pi, k), tag=k)
-                vec.offer_words(_words(pi, k), tag=k)
+                plane.offer(_frame(pi, k))
             done_obj = obj.step()
-            done_vec = vec.step()
-            assert [
-                (tag, [(w.address, w.payload) for w in outs])
-                for tag, outs in done_obj
-            ] == [
-                (tag, [(w.address, w.payload) for w in outs])
-                for tag, outs in done_vec
+            done_plane, _ = plane.step()
+            assert [tag for tag, _ in done_obj] == [
+                c.block.tag for c in done_plane
             ]
-        assert obj.drain() and vec.drain() or True  # both drain clean
-        assert obj.stats().latencies == vec.stats().latencies
+            for tag, outputs in done_obj:
+                pi = frames[tag]
+                sources = plane.backend.route_frame(np.array(pi))
+                assert [(w.address, w.payload) for w in outputs] == [
+                    (pi[source], (tag, source)) for source in sources.tolist()
+                ]
 
 
 class TestRouteFrameSources:

@@ -10,11 +10,16 @@ never does.
 import numpy as np
 import pytest
 
-from repro.backends import backend_names, compiled_backend
+from repro.backends import backend_names, backend_specs, compiled_backend
 from repro.backends.arena import clear_arena_cache
 from repro.core.plan import compiled_plan
 from repro.obs import GatewayInstrumentation, Registry
-from repro.server import AsyncGateway, BackendPlane, GatewayConfig
+from repro.server import (
+    AsyncGateway,
+    BackendPlane,
+    GatewayConfig,
+    resilient_engines,
+)
 
 pytestmark = pytest.mark.asyncio_suite
 
@@ -49,9 +54,18 @@ class TestConfigValidation:
             _config("warp-drive")
 
     def test_backend_engines_have_no_resilient_variant(self):
-        for engine in ("auto", "msorter", "krbenes", "batch"):
+        for engine in ("auto", "msorter", "krbenes", "bnb-object", "object"):
             with pytest.raises(ValueError, match="no resilient variant"):
                 GatewayConfig(m=3, engine=engine, resilient=True)
+
+    def test_fault_mask_support_decides_resilience(self):
+        """``resilient=True`` is valid exactly for the engines whose
+        backend's registry entry has ``supports_fault_mask``."""
+        assert resilient_engines() == ["vector", "batch", "bnb"]
+        for engine in resilient_engines():
+            assert GatewayConfig(m=3, engine=engine, resilient=True).resilient
+        masked = {spec.name for spec in backend_specs() if spec.supports_fault_mask}
+        assert masked == {"bnb"}
 
 
 class TestPinnedBackendServing:

@@ -94,10 +94,6 @@ class TestSendBatch:
                     await gateway.send_batch(
                         np.array([1]), retry_attempts=-1
                     )
-                with pytest.raises(InputError, match="payloads"):
-                    await gateway.send_batch(
-                        np.array([1, 2]), payloads=["only-one"]
-                    )
 
         run_async(scenario())
 
@@ -204,9 +200,8 @@ class TestBatchEngine:
         # The window amortized: far fewer kernel calls than frames.
         assert described["batches_routed"] < 32
 
-    def test_config_rejects_batch_resilient_combo(self):
-        with pytest.raises(Exception):
-            GatewayConfig(m=3, engine="batch", resilient=True)
+    def test_config_accepts_batch_resilient_combo(self):
+        assert GatewayConfig(m=3, engine="batch", resilient=True).resilient
         with pytest.raises(Exception):
             GatewayConfig(m=3, engine="batch", batch_window=0)
 
@@ -235,6 +230,26 @@ class TestClientBatch:
         assert result["statuses"].dtype == np.int64
         assert result["statuses"].all()
         assert result["mode_table"] == ["clean"]
+
+    def test_wire_payloads_field_is_an_ignored_unknown_field(self, run_async):
+        """``send_batch`` carries no payloads; a request that still sends
+        the field is served like one without it, under the protocol's
+        ignore-what-you-don't-know rule."""
+
+        async def scenario():
+            gateway = await AsyncGateway(_batch_config()).start()
+            server = await GatewayServer(gateway).start()
+            try:
+                async with GatewayClient("127.0.0.1", server.port) as client:
+                    return await client.request(
+                        "send_batch", dests=[1, 2, 3], payloads=["only-one"]
+                    )
+            finally:
+                await server.stop()
+                await gateway.stop()
+
+        response = run_async(scenario())
+        assert response["delivered"] == 3
 
     def test_client_side_send_retry_honours_hints(self, run_async):
         async def scenario():

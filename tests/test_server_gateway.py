@@ -9,20 +9,15 @@ import random
 
 import pytest
 
-from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
+from repro.core.pipeline import PipelinedBNBFabric
 from repro.exceptions import (
     AdmissionRejectedError,
     GatewayClosedError,
     InputError,
 )
-from repro.faults import SwitchCoordinate, fault_mask_for
-from repro.server import (
-    AsyncGateway,
-    BackendPlane,
-    GatewayConfig,
-    ResilientPlane,
-)
-from repro.service import ResilientFabric, ResilientVectorFabric
+from repro.faults import SwitchCoordinate, fault_mask_for, stuck_override_set
+from repro.server import AsyncGateway, BackendPlane, GatewayConfig
+from repro.service import FaultPolicy, ResilientFabric
 
 pytestmark = pytest.mark.asyncio_suite
 
@@ -69,11 +64,32 @@ class TestBasics:
             GatewayConfig(m=3, queue_capacity=0)
         with pytest.raises(ValueError):
             GatewayConfig(m=3, engine="simd")
-        # The resilient wrapper is engine-agnostic: combining it with
-        # the vector engine builds ResilientVectorFabric planes.
-        assert GatewayConfig(m=3, resilient=True, engine="vector").engine == (
-            "vector"
-        )
+        # Resilience is a fault policy on the bnb planes: the pipelined
+        # and the windowed engine both take it, the object model not.
+        for engine in ("vector", "batch"):
+            assert GatewayConfig(m=3, resilient=True, engine=engine).resilient
+        with pytest.raises(ValueError, match="no resilient variant"):
+            GatewayConfig(m=3, resilient=True, engine="object")
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 1000])
+    def test_quantiles_follow_the_percentile_rule(self, length):
+        """One sort gives what sorting once per quantile gave:
+        ``ordered[min(L - 1, int(q * (L - 1) + 0.5))]``, and the max."""
+
+        def percentile(samples, q):
+            if not samples:
+                return None
+            ordered = sorted(samples)
+            return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
+
+        rng = random.Random(length)
+        samples = [rng.randrange(50) for _ in range(length)]
+        assert AsyncGateway._quantiles(samples) == {
+            "samples": length,
+            "p50": percentile(samples, 0.50),
+            "p99": percentile(samples, 0.99),
+            "max": max(samples) if samples else None,
+        }
 
     def test_engine_selects_plane_kind(self, run_async):
         async def scenario(engine, resilient=False):
@@ -103,12 +119,13 @@ class TestBasics:
         assert shape(run_async(scenario("krbenes"))) == (
             "BackendPlane", "krbenes", 32, 0,
         )
-        for engine in ("object", "vector"):
-            plane = run_async(scenario(engine, resilient=True))
-            assert (plane["kind"], plane["engine"]) == (
-                "ResilientPlane",
-                engine,
-            )
+        # A resilient plane is the same plane carrying a fault policy.
+        assert shape(run_async(scenario("vector", resilient=True))) == (
+            "BackendPlane", "bnb", 1, 3,
+        )
+        plane = run_async(scenario("batch", resilient=True))
+        assert shape(plane) == ("BackendPlane", "bnb", 32, 0)
+        assert plane["service_state"] == "healthy"
 
 
 class TestConcurrentDelivery:
@@ -181,7 +198,7 @@ class TestConcurrentDelivery:
         assert stats["latency_cycles"]["p99"] is not None
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["object", "vector"])
+    @pytest.mark.parametrize("engine", ["batch", "vector"])
     def test_acceptance_1000_clients_resilient_faulted(
         self, run_async, engine
     ):
@@ -233,8 +250,16 @@ class TestConcurrentDelivery:
         assert stats["delivered_words"] == 2000
         assert stats["planes"][2]["healthy"] is False
         assert stats["planes"][0]["service_state"] == "quarantined"
-        assert stats["planes"][0]["engine"] == engine
-        assert stats["queues"]["max_depth"] <= 64
+        # The quarantined plane kept serving, on the Benes spare.
+        assert stats["planes"][0]["backend"] == "krbenes"
+        assert stats["planes"][1]["backend"] == "bnb"
+        # Admission never passed the bound; only the killed plane's
+        # in-flight words, requeued at the head, may sit above it.  A
+        # vector plane (depth m = 4) holds up to m + 1 frames, each with
+        # at most one word per destination; a batch plane (depth 0)
+        # holds none between cycles, when the chaos task kills it.
+        stranded = 4 + 1 if engine == "vector" else 0
+        assert stats["queues"]["max_depth"] <= 64 + stranded
 
     def test_wait_cycles_advances_even_when_idle(self, run_async):
         async def scenario():
@@ -367,63 +392,68 @@ class TestPlaneFailure:
             assert stats["queues"]["requeued"] > 0
 
     def test_resilient_plane_absorbs_fault_without_dying(self, run_async):
+        """A windowed (batch) resilient plane fed multi-frame blocks
+        under a stuck fault delivers every word, quarantines, and
+        confirms the class the object oracle confirms for that fault."""
+        fault = [(SwitchCoordinate(2, 0, 0, 0, 0), 1)]
+
         def factory(plane_id, m):
-            if plane_id == 0:
-                pipeline = PipelinedBNBFabric(
-                    m,
-                    control_override=stuck_control_override(2, 0, 0, 0, 0, 1),
-                )
-                return ResilientPlane(
-                    plane_id, m, fabric=ResilientFabric(m, pipeline=pipeline)
-                )
-            return ResilientPlane(plane_id, m)
+            mask = fault_mask_for(m, fault) if plane_id == 0 else None
+            return BackendPlane(
+                plane_id, m, batch_window=8, policy=FaultPolicy(m, mask=mask)
+            )
 
         async def scenario():
             config = GatewayConfig(
-                m=3, planes=2, queue_capacity=16, resilient=True
+                m=3, planes=2, queue_capacity=16, resilient=True,
+                engine="batch", batch_window=8,
             )
-            rng = random.Random(17)
             async with AsyncGateway(config, plane_factory=factory) as gateway:
-                receipts = await asyncio.gather(
-                    *(
-                        gateway.send_with_retry(
-                            rng.randrange(8), payload=index, attempts=64
-                        )
-                        for index in range(120)
-                    )
+                result = await gateway.send_batch(
+                    [line for _ in range(6) for line in range(8)],
+                    retry_attempts=64,
                 )
+                planes = gateway.planes
                 stats = gateway.stats()
-            return receipts, stats
+            return result, planes, stats
 
-        receipts, stats = run_async(scenario())
-        assert all(
-            receipt.payload == index for index, receipt in enumerate(receipts)
-        )
-        # The faulty plane stayed in the pool: its ResilientFabric
-        # quarantined the primary and rode the Benes spare instead.
+        result, planes, stats = run_async(scenario())
+        assert result.delivered == 48
+        assert planes[0].batches_routed < planes[0].frames_delivered
+        # The faulty plane stayed in the pool: its policy quarantined
+        # the primary and rode the Benes spare instead.
         assert stats["planes"][0]["healthy"] is True
         assert stats["planes"][0]["service_state"] == "quarantined"
+        oracle = ResilientFabric(
+            3,
+            pipeline=PipelinedBNBFabric(
+                3, control_override=stuck_override_set(fault)
+            ),
+        )
+        oracle.check()
+        assert sorted(planes[0].policy.registry.confirmed_faults) == sorted(
+            oracle.registry.confirmed_faults
+        )
         modes = stats["delivery_modes"]
         assert modes.get("failover", 0) + modes.get("degraded", 0) > 0
 
     def test_resilient_vector_plane_absorbs_fault_without_dying(
         self, run_async
     ):
-        """The vector twin of the test above: a ResilientVectorFabric
-        plane seeded with a fault mask quarantines its compiled primary
-        and keeps delivering via the compiled Benes spare."""
+        """The pipelined twin of the test above: a window-1 resilient
+        plane seeded with a fault mask quarantines its primary and keeps
+        delivering via the Benes spare."""
 
         def factory(plane_id, m):
-            if plane_id == 0:
-                mask = fault_mask_for(
-                    m, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)]
-                )
-                return ResilientPlane(
-                    plane_id,
-                    m,
-                    fabric=ResilientVectorFabric(m, fault_mask=mask),
-                )
-            return ResilientPlane(plane_id, m, fabric=ResilientVectorFabric(m))
+            mask = (
+                fault_mask_for(m, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)])
+                if plane_id == 0
+                else None
+            )
+            return BackendPlane(
+                plane_id, m, batch_window=1, depth=m,
+                policy=FaultPolicy(m, mask=mask),
+            )
 
         async def scenario():
             config = GatewayConfig(
@@ -448,13 +478,13 @@ class TestPlaneFailure:
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
         assert stats["planes"][0]["healthy"] is True
-        assert stats["planes"][0]["engine"] == "vector"
-        assert stats["planes"][1]["engine"] == "vector"
+        assert stats["planes"][0]["depth"] == 3
         assert stats["planes"][0]["service_state"] == "quarantined"
+        assert stats["planes"][1]["service_state"] == "healthy"
         modes = stats["delivery_modes"]
         assert modes.get("failover", 0) + modes.get("degraded", 0) > 0
 
-    @pytest.mark.parametrize("engine", ["object", "vector"])
+    @pytest.mark.parametrize("engine", ["batch", "vector"])
     def test_inject_fault_quarantines_live_plane(self, run_async, engine):
         """Operator fault injection through the gateway API: the target
         plane walks detection -> quarantine -> failover while every
@@ -480,7 +510,7 @@ class TestPlaneFailure:
             return described, receipts, stats
 
         described, receipts, stats = run_async(scenario())
-        assert described["engine"] == engine
+        assert described["backend"] == "bnb"
         assert all(
             receipt.payload == index for index, receipt in enumerate(receipts)
         )

@@ -174,3 +174,25 @@ class TestSnapshot:
             VirtualOutputQueues(0, capacity=1)
         with pytest.raises(ValueError):
             VirtualOutputQueues(4, capacity=0)
+
+
+class TestBlockFrames:
+    def test_frame_is_the_one_frame_block_of_its_rows(self):
+        voqs = VirtualOutputQueues(4, capacity=4)
+        for dest, owner in ((0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (3, 6)):
+            admit(voqs, dest, owner=owner)
+        block = voqs.pop_heads(3)
+        block.tag, block.scheduled_cycle = 40, 9
+        for j in range(block.k):
+            frame = block.frame(j)
+            rows = block.frame_slice(j)
+            assert (frame.tag, frame.scheduled_cycle, frame.k) == (40 + j, 9, 1)
+            assert frame.addresses.tolist() == block.addresses[j : j + 1].tolist()
+            assert frame.counts.tolist() == [block.counts[j]]
+            assert frame.full == (block.counts[j] == 4)
+            assert frame.words.tolist() == block.words[rows].tolist()
+            assert frame.dests.tolist() == block.dests[rows].tolist()
+            assert frame.frame_of.tolist() == [0] * frame.size
+            assert frame.tenants is None
+        assert [block.frame(j).size for j in range(3)] == [4, 1, 1]
+

@@ -23,6 +23,7 @@ from repro.faults import (
     localize,
 )
 from repro.permutations import random_permutation
+from repro.service.registry import EVENT_LOG_LIMIT
 from repro.service import (
     FaultRegistry,
     HealthMonitor,
@@ -286,6 +287,22 @@ class TestRegistry:
         assert seen == [event]
         assert event.sequence == 0
         assert "detection" in str(event)
+
+    def test_event_log_is_bounded(self):
+        """A serving plane logs one ``delivery`` per frame: the log keeps
+        the last EVENT_LOG_LIMIT events, numbered from the first ever
+        emitted, while listeners still see every one."""
+        registry = FaultRegistry()
+        seen = []
+        registry.add_listener(seen.append)
+        for index in range(EVENT_LOG_LIMIT + 5):
+            registry.emit("delivery", index, "8 words clean")
+        assert len(seen) == EVENT_LOG_LIMIT + 5
+        assert len(registry.events) == EVENT_LOG_LIMIT
+        assert [e.sequence for e in registry.events] == list(
+            range(5, EVENT_LOG_LIMIT + 5)
+        )
+        assert registry.event_kinds() == {"delivery": EVENT_LOG_LIMIT}
 
     def test_counters_as_dict(self):
         counters = ServiceCounters(words_clean=8, words_failover=16)

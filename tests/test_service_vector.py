@@ -1,11 +1,11 @@
-"""The fault-tolerant vector dataplane: masks, vector BIST, failover.
+"""The fault-tolerant compiled dataplane: masks, batched BIST, policy.
 
 Covers the fault-as-data model end to end: :class:`FaultMask`
 construction and validation, dead-link sentinel propagation through
-the compiled kernels, the batched (pipelined) BIST pass and its
-vectorized syndrome decoding, and :class:`ResilientVectorFabric` —
-the compiled twin of :class:`ResilientFabric` — including its
-compiled Benes failover plan.
+the compiled kernels, the batched BIST pass and its vectorized
+syndrome decoding, and :class:`FaultPolicy` — the serving planes'
+array form of :class:`ResilientFabric` — alone and inside a windowed
+:class:`BackendPlane`, checked against the object oracle.
 """
 
 import numpy as np
@@ -13,27 +13,22 @@ import pytest
 
 from repro.core import Word
 from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
-from repro.core.pipeline_fast import VectorPipelinedFabric
+from repro.core.pipeline_fast import route_frame_batch, route_frame_sources
 from repro.core.plan import DEAD_ADDRESS, FaultMask, build_fault_mask
-from repro.exceptions import FaultError, FaultServiceError
+from repro.exceptions import FaultError
 from repro.faults import (
+    BISTSchedule,
     SwitchCoordinate,
     fault_mask_for,
     random_fault_set,
     shared_bist_schedule,
     stuck_override_set,
 )
-from repro.faults.localization import (
-    ProbeObservation,
-    decode_syndromes,
-    observations_from_arrays,
-)
-from repro.service import (
-    CompiledBenesFailover,
-    HealthState,
-    ResilientFabric,
-    ResilientVectorFabric,
-)
+from repro.faults.localization import decode_syndromes, observations_from_arrays
+from repro.permutations import random_permutation
+from repro.server import BackendPlane, Block, VirtualOutputQueues
+from repro.server.scheduler import FrameScheduler
+from repro.service import FaultPolicy, HealthState, ResilientFabric
 
 
 def identity_words(n):
@@ -42,6 +37,11 @@ def identity_words(n):
 
 def reversal_words(n):
     return [Word(address=n - 1 - line, payload=line) for line in range(n)]
+
+
+def arrived(addresses, sources):
+    """The address on each output line of a routed frame."""
+    return np.asarray(addresses)[sources].tolist()
 
 
 class TestFaultMask:
@@ -94,37 +94,31 @@ class TestFaultMask:
             build_fault_mask(3, dead_links=[(1, 64)])
 
     def test_mask_m_must_match_fabric(self):
-        mask = build_fault_mask(2)
         with pytest.raises(ValueError):
-            VectorPipelinedFabric(3, fault_mask=mask)
-        fabric = VectorPipelinedFabric(2)
+            FaultPolicy(3, mask=build_fault_mask(2))
         with pytest.raises(ValueError):
-            fabric.set_fault_mask(build_fault_mask(3))
+            FaultPolicy(3, schedule=shared_bist_schedule(2))
 
 
 class TestMaskedKernels:
     def test_stuck_mask_matches_object_override(self):
         coordinate = SwitchCoordinate(2, 0, 0, 0, 0)
         for value in (0, 1):
-            vec = VectorPipelinedFabric(
-                3, fault_mask=fault_mask_for(3, [(coordinate, value)])
-            )
+            mask = fault_mask_for(3, [(coordinate, value)])
             obj = PipelinedBNBFabric(
                 3,
                 control_override=stuck_control_override(2, 0, 0, 0, 0, value),
             )
             words = reversal_words(8)
-            vec.offer_words(list(words), tag=0)
-            obj.offer_words(list(words), tag=0)
-            done_vec = vec.drain()
-            done_obj = obj.drain()
-            assert [
-                [(w.address, w.payload) for w in outputs]
-                for _tag, outputs in done_vec
-            ] == [
-                [(w.address, w.payload) for w in outputs]
-                for _tag, outputs in done_obj
+            outputs = obj.route_batch(list(words))
+            addresses = np.array([w.address for w in words])
+            sources = route_frame_sources(3, addresses, mask=mask)
+            assert [(w.address, w.payload) for w in outputs] == [
+                (words[s].address, words[s].payload) for s in sources.tolist()
             ]
+            # The frame axis broadcasts the same fault over every frame.
+            batch = route_frame_batch(3, np.stack([addresses] * 3), mask=mask)
+            assert all(row.tolist() == sources.tolist() for row in batch)
 
     def test_dead_link_misdelivers_deterministically(self):
         # The clobbered word routes by the all-ones DEAD_ADDRESS
@@ -133,37 +127,22 @@ class TestMaskedKernels:
         # maximally distinguishable case) and the displacement is
         # visible to the output-side address check.
         mask = build_fault_mask(3, dead_links=[(1, 0)])
-        fabric = VectorPipelinedFabric(3, fault_mask=mask)
-        fabric.offer_words(identity_words(8), tag=0)
-        ((_tag, outputs),) = fabric.drain()
-        # No word is lost: the original objects come out, rearranged.
-        assert sorted(word.address for word in outputs) == list(range(8))
-        syndrome = [
-            line
-            for line, word in enumerate(outputs)
-            if word.address != line
-        ]
+        identity = np.arange(8)
+        sources = route_frame_sources(3, identity, mask=mask)
+        # No word is lost: every input line comes out, rearranged.
+        assert sorted(sources.tolist()) == list(range(8))
+        outputs = arrived(identity, sources)
+        syndrome = [line for line, address in enumerate(outputs) if address != line]
         assert syndrome  # the fault is visible
         # And deterministically so: the sentinel is data, not chance.
-        again = VectorPipelinedFabric(3, fault_mask=mask)
-        again.offer_words(identity_words(8), tag=0)
-        ((_tag2, outputs2),) = again.drain()
-        assert [w.address for w in outputs2] == [w.address for w in outputs]
-
-    def test_mask_swap_applies_to_next_stage(self):
-        fabric = VectorPipelinedFabric(3)
-        fabric.offer_words(identity_words(8), tag=0)
-        fabric.set_fault_mask(
-            fault_mask_for(3, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)])
-        )
-        # The in-flight identity frame is immune to a stuck-at-1 only if
-        # its healthy controls already match; drain must still deliver 8
-        # words (possibly displaced) and the next frame sees the mask.
-        ((_tag, outputs),) = fabric.drain()
-        assert len(outputs) == 8
+        again = route_frame_batch(3, identity[None, :], mask=mask)[0]
+        assert arrived(identity, again) == outputs
 
 
 class TestPipelinedBIST:
+    """The BIST schedule as one batched kernel call
+    (:meth:`BISTSchedule.run_batch`)."""
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_sequential_run_on_faulty_fabric(self, m):
         schedule = shared_bist_schedule(m)
@@ -175,31 +154,29 @@ class TestPipelinedBIST:
                 m, control_override=stuck_override_set(faults)
             ).route_batch(words)
         )
-        fabric = VectorPipelinedFabric(m, fault_mask=mask)
-        pipelined = schedule.run_pipelined(fabric)
-        assert [obs.syndrome for obs in pipelined] == [
+        batched = schedule.run_batch(
+            lambda probes: route_frame_batch(m, probes, mask=mask)
+        )
+        assert [obs.syndrome for obs in batched] == [
             obs.syndrome for obs in sequential
         ]
-        assert [obs.arrived for obs in pipelined] == [
+        assert [obs.arrived for obs in batched] == [
             obs.arrived for obs in sequential
         ]
-        # The fabric is idle again: the pass drained its own probes.
-        assert fabric.in_flight == 0
 
     def test_on_probe_fires_once_per_probe(self):
         schedule = shared_bist_schedule(2)
         seen = []
-        schedule.run_pipelined(
-            VectorPipelinedFabric(2),
+        schedule.run_batch(
+            lambda probes: route_frame_batch(2, probes),
             on_probe=lambda probe, obs: seen.append((probe.index, obs.clean)),
         )
         assert seen == [(probe.index, True) for probe in schedule.probes]
 
-    def test_requires_idle_fabric(self):
-        fabric = VectorPipelinedFabric(2)
-        fabric.offer_words(identity_words(4), tag="busy")
+    def test_rejects_a_router_of_the_wrong_shape(self):
+        schedule = shared_bist_schedule(2)
         with pytest.raises(FaultError):
-            shared_bist_schedule(2).run_pipelined(fabric)
+            schedule.run_batch(lambda probes: probes[:1])
 
 
 class TestVectorizedDecoding:
@@ -228,130 +205,249 @@ class TestVectorizedDecoding:
             )
 
 
-class TestCompiledBenesFailover:
-    def test_route_before_compile_refuses(self):
-        spare = CompiledBenesFailover(3)
-        assert not spare.compiled
-        with pytest.raises(FaultServiceError):
-            spare.route(identity_words(8))
-
-    def test_compiled_route_matches_real_benes(self):
-        spare = CompiledBenesFailover(3, verify_every=1)
-        spare.compile_for([(SwitchCoordinate(2, 0, 0, 0, 0), 1)])
-        outputs, trace = spare.route(reversal_words(8))
-        assert trace is None
-        assert [w.address for w in outputs] == list(range(8))
-        assert [w.payload for w in outputs] == list(reversed(range(8)))
-        # verify_every=1 cross-checks every batch against BenesNetwork.
-        assert spare.cross_checks >= spare.batches
-
-    def test_recompiles_only_for_new_fault_sets(self):
-        spare = CompiledBenesFailover(3)
-        fault_set = [(SwitchCoordinate(2, 0, 0, 0, 0), 1)]
-        spare.compile_for(fault_set)
-        first = spare.plans_compiled
-        spare.compile_for(list(fault_set))
-        assert spare.plans_compiled == first  # same set: cached plan
-        spare.compile_for([(SwitchCoordinate(1, 0, 0, 0, 0), 0)])
-        assert spare.plans_compiled == first + 1
+def oracle_for(m, faults):
+    return ResilientFabric(
+        m,
+        pipeline=PipelinedBNBFabric(
+            m, control_override=stuck_override_set(faults)
+        ),
+    )
 
 
 class TestResilientVectorFabric:
+    """:class:`FaultPolicy`, driven one frame at a time (the window-1
+    shape of a ``--engine vector --resilient`` plane)."""
+
     def test_clean_traffic_stays_healthy(self):
-        fabric = ResilientVectorFabric(3)
+        policy = FaultPolicy(3)
         for index in range(3):
-            result = fabric.submit(
+            mode, retries = policy.submit(
                 [(line + index) % 8 for line in range(8)], tag=index
             )
-            assert result.mode == "clean"
-        assert fabric.state is HealthState.HEALTHY
-        assert fabric.counters.words_clean == 24
+            assert (mode, retries) == ("clean", 0)
+        assert policy.state is HealthState.HEALTHY
+        assert policy.counters.words_clean == 24
+        # A healthy plane routes with no mask at all.
+        assert policy.mask is None
+        assert policy.backend is policy.primary
 
     def test_stuck_fault_walks_full_lifecycle(self):
         mask = fault_mask_for(3, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)])
-        fabric = ResilientVectorFabric(3, fault_mask=mask)
+        policy = FaultPolicy(3, mask=mask)
         permutation = list(reversed(range(8)))
-        modes = [
-            fabric.submit(permutation, tag=index).mode for index in range(4)
-        ]
-        if not fabric.registry.is_quarantined:
-            fabric.check(tag="scheduled")
-            modes.append(fabric.submit(permutation, tag="post").mode)
-        assert fabric.state is HealthState.QUARANTINED
+        modes = [policy.submit(permutation, tag=index)[0] for index in range(4)]
+        if not policy.registry.is_quarantined:
+            policy.check(tag="scheduled")
+            modes.append(policy.submit(permutation, tag="post")[0])
+        assert policy.state is HealthState.QUARANTINED
         assert modes[-1] == "failover"
-        kinds = fabric.registry.event_kinds()
-        assert kinds["failover-plan"] == 1
+        kinds = policy.registry.event_kinds()
         assert kinds["quarantine"] == 1
-        assert fabric.spare.compiled
+        assert kinds["failover"] == 1
+        # Failover switched the routing to the fault-free Benes spare.
+        assert policy.backend.name == "krbenes"
+        assert policy.mask is None
+        assert policy.fault_mask is mask
         # Every submitted word was delivered to its own line.
-        assert fabric.counters.words_delivered == 8 * len(modes)
+        assert policy.counters.words_delivered == 8 * len(modes)
 
     def test_parity_with_object_service(self):
         coordinate = SwitchCoordinate(2, 0, 0, 0, 0)
-        vec = ResilientVectorFabric(
-            3, fault_mask=fault_mask_for(3, [(coordinate, 1)])
-        )
-        obj = ResilientFabric(
-            3,
-            pipeline=PipelinedBNBFabric(
-                3, control_override=stuck_control_override(2, 0, 0, 0, 0, 1)
-            ),
-        )
+        policy = FaultPolicy(3, mask=fault_mask_for(3, [(coordinate, 1)]))
+        oracle = oracle_for(3, [(coordinate, 1)])
         permutation = list(reversed(range(8)))
         for index in range(4):
-            result_vec = vec.submit(permutation, tag=index)
-            result_obj = obj.submit(permutation, tag=index)
-            assert result_vec.mode == result_obj.mode
-            assert [w.payload for w in result_vec.outputs] == [
-                w.payload for w in result_obj.outputs
-            ]
-        assert vec.state is obj.state
-        assert sorted(vec.registry.confirmed_faults) == sorted(
-            obj.registry.confirmed_faults
+            result = oracle.submit(permutation, tag=index)
+            assert policy.submit(permutation, tag=index) == (
+                result.mode,
+                result.retries,
+            )
+        assert policy.counters == oracle.counters
+        assert policy.state is oracle.state
+        assert sorted(policy.registry.confirmed_faults) == sorted(
+            oracle.registry.confirmed_faults
         )
+        assert [e.detail for e in policy.registry.events] == [
+            e.detail for e in oracle.events
+        ]
 
     def test_live_injection_quarantines(self):
-        fabric = ResilientVectorFabric(3)
+        policy = FaultPolicy(3)
         permutation = list(reversed(range(8)))
-        assert fabric.submit(permutation, tag="before").mode == "clean"
-        fabric.inject_stuck_control(SwitchCoordinate(2, 0, 0, 0, 0), 1)
+        assert policy.submit(permutation, tag="before")[0] == "clean"
+        policy.inject_stuck_control(SwitchCoordinate(2, 0, 0, 0, 0), 1)
+        assert policy.fault_mask.stuck == (((2, 0, 0, 0, 0), 1),)
         for index in range(3):
-            fabric.submit(permutation, tag=index)
-        if not fabric.registry.is_quarantined:
-            fabric.check(tag="post-injection")
-        assert fabric.state is HealthState.QUARANTINED
-        kinds = fabric.registry.event_kinds()
+            policy.submit(permutation, tag=index)
+        if not policy.registry.is_quarantined:
+            policy.check(tag="post-injection")
+        assert policy.state is HealthState.QUARANTINED
+        kinds = policy.registry.event_kinds()
         assert kinds["injection"] == 1
-        assert fabric.submit(permutation, tag="after").mode == "failover"
+        assert policy.submit(permutation, tag="after")[0] == "failover"
 
     def test_dead_link_quarantines_without_hypotheses(self):
         mask = build_fault_mask(3, dead_links=[(1, 3)])
-        fabric = ResilientVectorFabric(3, fault_mask=mask)
+        policy = FaultPolicy(3, mask=mask)
         permutation = list(reversed(range(8)))
         for index in range(4):
-            result = fabric.submit(permutation, tag=index)
-            assert result.delivered == 8
-        assert fabric.state is HealthState.QUARANTINED
+            policy.submit(permutation, tag=index)
+        assert policy.counters.words_delivered == 32
+        assert policy.state is HealthState.QUARANTINED
         # A dead link matches no stuck-control hypothesis; the service
         # must still quarantine and ride the spare rather than wedge.
-        assert fabric.submit(permutation, tag="after").mode == "failover"
-
-    def test_strict_localization_refuses_unexplained_faults(self):
-        mask = build_fault_mask(3, dead_links=[(1, 3)])
-        fabric = ResilientVectorFabric(
-            3, fault_mask=mask, strict_localization=True
-        )
-        with pytest.raises(FaultServiceError):
-            for index in range(4):
-                fabric.submit(list(reversed(range(8))), tag=index)
+        assert policy.submit(permutation, tag="after")[0] == "failover"
+        # Injection keeps the dead link in the rebuilt mask.
+        policy.inject_stuck_control(SwitchCoordinate(2, 0, 0, 0, 0), 1)
+        assert policy.fault_mask.dead == ((1, 3),)
 
     def test_check_runs_pipelined_bist(self):
-        fabric = ResilientVectorFabric(3)
+        """A proactive check routes every probe in one batched call."""
+        policy = FaultPolicy(3)
         probes = []
-        fabric.probe_hook = lambda probe, obs: probes.append(obs.clean)
-        fabric.check(tag="proactive")
-        assert probes == [True] * fabric.schedule.probe_count
-        assert fabric.state is HealthState.HEALTHY
+        policy.probe_hook = lambda probe, obs: probes.append(obs.clean)
+        policy.check(tag="proactive")
+        assert probes == [True] * policy.schedule.probe_count
+        assert policy.state is HealthState.HEALTHY
+        assert policy.counters.bist_runs == 1
+
+    def test_partial_frames_match_the_oracle(self):
+        """Idle lines are owed nothing: a frame whose first *count*
+        lines are real is delivered, counted and retried as the
+        oracle's ``submit_words`` does with idle filler."""
+        coordinate = SwitchCoordinate(1, 0, 0, 0, 0)
+        policy = FaultPolicy(3, mask=fault_mask_for(3, [(coordinate, 0)]))
+        oracle = oracle_for(3, [(coordinate, 0)])
+        for seed in range(6):
+            full = random_permutation(8, rng=seed).to_list()
+            count = 3 + seed % 5
+            words = [
+                Word(address=a, payload=line if line < count else None)
+                for line, a in enumerate(full)
+            ]
+            result = oracle.submit_words(words, tag=seed)
+            assert policy.submit(full, tag=seed, count=count) == (
+                result.mode,
+                result.retries,
+            )
+        assert policy.counters == oracle.counters
+        assert policy.state is oracle.state
+
+
+class TestResilientPlane:
+    """A windowed :class:`BackendPlane` carrying a policy."""
+
+    FAULT = (SwitchCoordinate(2, 0, 0, 0, 0), 1)
+
+    @staticmethod
+    def _blocks(m, frames, window, seed=0):
+        """*frames* composed frames in blocks of *window*, some partial."""
+        rng = np.random.default_rng(seed)
+        n = 1 << m
+        voqs = VirtualOutputQueues(n, capacity=frames)
+        for frame in range(frames):
+            for dest in rng.permutation(n)[: n - frame % 3]:
+                voqs.admit(int(dest), 0)
+        scheduler = FrameScheduler(n)
+        blocks = []
+        while voqs.total:
+            blocks.append(scheduler.next_frame(voqs, 0, window))
+        return blocks
+
+    def test_windowed_plane_matches_the_oracle_frame_by_frame(self):
+        """Blocks of four frames, routed in one masked call each, get
+        the per-frame modes, counters, syndromes and health the oracle
+        reaches when fed the same frames one at a time — a block whose
+        frames differ in mode reports one completion per frame."""
+        m = 3
+        policy = FaultPolicy(m, mask=fault_mask_for(m, [self.FAULT]))
+        oracle = oracle_for(m, [self.FAULT])
+        syndromes = {"plane": [], "oracle": []}
+        policy.probe_hook = lambda p, o: syndromes["plane"].append(o.syndrome)
+        oracle.probe_hook = lambda p, o: syndromes["oracle"].append(o.syndrome)
+        plane = BackendPlane(0, m, "bnb", batch_window=4, policy=policy)
+        plane_modes, oracle_modes, split = {}, {}, 0
+        for block in self._blocks(m, 12, 4):
+            plane.offer(block)
+            completed, stranded = plane.step()
+            assert stranded == []
+            split += len(completed) > 1
+            for completion in completed:
+                for j in range(completion.block.k):
+                    plane_modes[completion.block.tag + j] = completion.mode
+            for j in range(block.k):
+                count = int(block.counts[j])
+                words = [
+                    Word(address=int(a), payload=line if line < count else None)
+                    for line, a in enumerate(block.addresses[j])
+                ]
+                result = oracle.submit_words(words, tag=block.tag + j)
+                oracle_modes[block.tag + j] = result.mode
+        assert plane_modes == oracle_modes
+        # The quarantine landed inside a block, whose frames then
+        # reported different modes.
+        assert split
+        assert "failover" in oracle_modes.values()
+        assert policy.counters == oracle.counters
+        assert syndromes["plane"] == syndromes["oracle"]
+        assert policy.state is oracle.state is HealthState.QUARANTINED
+        assert sorted(policy.registry.confirmed_faults) == sorted(
+            oracle.registry.confirmed_faults
+        )
+        # The plane now routes on the spare, and still verifies it.
+        assert plane.describe()["backend"] == "krbenes"
+        assert plane.frames_delivered == 12
+
+    def test_exhausted_service_kills_the_plane(self):
+        """A BIST schedule too thin to see the fault cannot quarantine,
+        so words the primary keeps misrouting exhaust the retry budget:
+        the plane fails and hands its block back for requeueing — the
+        block's clean first frame included, which is not booked as
+        delivered."""
+        m = 3
+        stubborn = fault_mask_for(m, [(SwitchCoordinate(0, 0, 1, 1, 1), 0)])
+        # The identity probe leaves this stuck-at-0 switch at 0.
+        blind = BISTSchedule(m=m, probes=shared_bist_schedule(m).probes[:1])
+        policy = FaultPolicy(m, mask=stubborn, schedule=blind)
+        plane = BackendPlane(0, m, batch_window=2, policy=policy)
+        pi = random_permutation(8, rng=0).to_list()
+        addresses = np.array([list(range(8)), pi])
+        block = Block(
+            addresses,
+            np.array([8, 8]),
+            True,
+            np.zeros((16, 4), dtype=np.int64),
+            np.repeat(np.arange(2), 8),
+            addresses.reshape(-1),
+        )
+        plane.offer(block)
+        completed, stranded = plane.step()
+        assert completed == []
+        assert stranded == [block]
+        assert not plane.healthy
+        assert "undelivered" in plane.failure
+        assert policy.counters.batches == 2
+        assert policy.counters.words_delivered == 0
+        assert "delivery" not in policy.registry.event_kinds()
+
+    def test_counters_book_frames_as_they_leave(self):
+        """A depth-m plane holds routed frames for m cycles; the policy
+        counts a frame as delivered when it leaves, so the frames a
+        kill strands (requeued, delivered by another plane) are not
+        counted here too."""
+        m = 3
+        policy = FaultPolicy(m)
+        plane = BackendPlane(0, m, batch_window=1, depth=m, policy=policy)
+        for block in self._blocks(m, m + 2, 1)[: m + 2]:
+            plane.offer(block)
+            plane.step()
+        stranded = plane.kill()
+        assert (plane.frames_delivered, len(stranded)) == (2, m)
+        counters = policy.counters
+        assert counters.batches == m + 2
+        assert counters.batches_clean == plane.frames_delivered
+        assert counters.words_delivered == plane.words_delivered
+        assert policy.registry.event_kinds()["delivery"] == 2
 
 
 class TestRandomFaultSet:
