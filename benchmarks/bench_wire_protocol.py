@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 from repro.client import GatewayClient
-from repro.core import Word, route_frame_sources
+from repro.backends import compiled_backend
+from repro.core import Word
 from repro.core.pipeline import PipelinedBNBFabric
 from repro.core.pipeline_fast import route_frame_batch
 from repro.server import AsyncGateway, GatewayConfig, GatewayServer
@@ -104,19 +105,21 @@ async def _drive(port: int, binary: bool, bursts: list) -> dict:
 def _object_pipeline_parity(frames: int = 8, seed: int = 42) -> int:
     """Re-run the acceptance oracle: batch kernel vs object fabric.
 
-    ``route_frame_batch`` must agree with the single-frame kernel and
-    the word-for-word object pipeline on every line of every frame;
-    returns the number of words cross-checked.
+    ``route_frame_batch`` must agree with the lone-frame path (the
+    ``bnb`` backend's ``route_frame``) and the word-for-word object
+    pipeline on every line of every frame; returns the number of words
+    cross-checked.
     """
     rng = np.random.default_rng(seed)
     addresses = np.stack(
         [rng.permutation(N) for _ in range(frames)]
     ).astype(np.int64)
     batched = route_frame_batch(M, addresses)
+    lone = compiled_backend("bnb", M)
     fabric = PipelinedBNBFabric(M)
     checked = 0
     for b, row in enumerate(addresses):
-        assert np.array_equal(batched[b], route_frame_sources(M, row))
+        assert np.array_equal(batched[b], lone.route_frame(row))
         words = [
             Word(address=int(a), payload=(b, j)) for j, a in enumerate(row)
         ]

@@ -19,7 +19,7 @@ The contract has two halves:
   ``route_frame_batch`` over int64 numpy address arrays.  Both return
   *sources*: ``sources[line]`` is the input line whose word arrives on
   output ``line`` (``sources[b, line]`` for the batch form), the same
-  convention as :func:`repro.core.pipeline_fast.route_frame_sources`.
+  convention as :func:`repro.core.pipeline_fast.route_frame_batch`.
 
 Compilation cost (Benes wiring tables, comparator stage indices, BNB
 gather plans) is therefore paid once per process per size — the

@@ -2,14 +2,14 @@
 
 Two registrations:
 
-* ``"bnb"`` — the compiled vector dataplane.  ``route_frame`` is
-  :func:`~repro.core.pipeline_fast.route_frame_sources` (one frame, all
-  ``m`` main stages as numpy gathers) and ``route_frame_batch`` is
-  :func:`~repro.core.pipeline_fast.route_frame_batch` (the frame-axis
-  kernel) — the gateway's ``vector`` and ``batch`` engines both serve
-  on this one protocol object.  The only
-  backend that supports fault masks: both methods take an optional
-  ``mask`` and reproduce the faulty fabric's arrival order.
+* ``"bnb"`` — the compiled vector dataplane.  ``route_frame_batch``
+  is :func:`~repro.core.pipeline_fast.route_frame_batch` (all ``m``
+  main stages of a ``(batch, n)`` stack as numpy gathers and stage-table
+  lookups) and ``route_frame`` routes a lone frame as a one-row batch
+  of it — one kernel, which the gateway's ``vector`` and ``batch``
+  engines both serve on.  The only backend that supports fault masks:
+  both methods take an optional ``mask`` and reproduce the faulty
+  fabric's arrival order.
 * ``"bnb-object"`` — the reference object model
   (:class:`~repro.core.bnb.BNBNetwork.route`), word objects and all.
   Registered so the arena measures the same engine the paper's object
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.plan import FaultMask, compiled_plan
-from ..core.pipeline_fast import route_frame_batch, route_frame_sources
+from ..core.pipeline_fast import route_frame_batch
 from .base import BackendSpec, register_backend
 
 __all__ = ["BNBObjectBackend", "BNBVectorBackend"]
@@ -44,7 +44,8 @@ class BNBVectorBackend:
     def route_frame(
         self, addresses: np.ndarray, mask: Optional[FaultMask] = None
     ) -> np.ndarray:
-        return route_frame_sources(self.m, addresses, mask=mask)
+        # One kernel: a lone frame is a one-row batch.
+        return self.route_frame_batch(np.asarray(addresses)[None], mask)[0]
 
     def route_frame_batch(
         self, addresses: np.ndarray, mask: Optional[FaultMask] = None

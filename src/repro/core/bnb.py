@@ -35,9 +35,9 @@ from ..bits import address_bit, require_power_of_two, unshuffle_index
 from ..exceptions import NotAPermutationError, RoutingError
 from ..permutations.permutation import Permutation
 from .bsn import BitSorterNetwork, BSNRecord
+from .pipeline_fast import route_frame_batch
 from .plan import (
     compiled_plan,
-    stage_take_indices,
     vector_apply_controls,
     vector_splitter_controls,
 )
@@ -329,8 +329,10 @@ class BNBNetwork:
         """Vectorized routing of raw addresses; returns the output lines.
 
         Same algorithm as :meth:`route`, expressed as whole-array
-        operations over the per-``m`` :func:`~repro.core.plan.compiled_plan`
-        index tables.  ``result[line] == line`` for every line when the
+        operations: the frame is a one-row batch of
+        :func:`~repro.core.pipeline_fast.route_frame_batch`, the kernel
+        over the per-``m`` :func:`~repro.core.plan.compiled_plan`
+        tables.  ``result[line] == line`` for every line when the
         input is a permutation; the function returns the array of
         addresses in output-line order so callers can assert that.
 
@@ -352,8 +354,7 @@ class BNBNetwork:
         if self.check_inputs:
             if not np.array_equal(np.sort(lines), plan.identity):
                 raise NotAPermutationError(lines.tolist())
-        for stage in plan.stages:
-            lines = lines[stage_take_indices(plan, stage, lines)]
+        lines = lines[route_frame_batch(self.m, lines[None])[0]]
         if self.check_inputs and not np.array_equal(lines, plan.identity):
             line = int(np.argmin(lines == plan.identity))
             raise RoutingError(

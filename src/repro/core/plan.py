@@ -20,27 +20,30 @@ main stage it precomputes, as numpy arrays,
 Plans are cached per ``m`` (:func:`compiled_plan`), so every fabric,
 plane and worker process of a given size shares one set of tables.
 
-The two routing kernels live here too: :func:`vector_splitter_controls`
+The per-stage kernels live here too: :func:`vector_splitter_controls`
 (the log-depth XOR-up/flag-down arbiter pass over all boxes of a stage
-at once) and :func:`vector_apply_controls`.  They are the single vector
-implementation behind both the combinational
-:meth:`~repro.core.bnb.BNBNetwork.route_fast` and the frame kernels
-of :mod:`repro.core.pipeline_fast`.
+at once) and :func:`batch_stage_take_indices`, which runs a stage's
+splitters wider than 16 lines on it and every bit-sorter tail of at
+most 16 lines as one lookup in a :func:`bit_sorter_table`.  They are
+the steps of :func:`~repro.core.pipeline_fast.route_frame_batch`, the
+one frame kernel.
 
 Faults are data here, not control flow: a :class:`FaultMask` carries
 per-(main stage, inner stage) stuck-control override arrays plus
-per-stage dead-link flags, and :func:`stage_take_indices` applies them
-as one masked ``where`` over the freshly computed control column.
-Because the vector kernels re-decide every splitter from the addresses
-actually present on its inputs — exactly like the adaptive object model
-in :mod:`repro.faults.adaptive` — a masked vector pass reproduces
-:func:`~repro.faults.adaptive.route_with_stuck_switch` bit for bit
-(pinned exhaustively in the tests), so a faulty fabric is the same
-numpy gather pipeline plus a masked ``where``.  Dead links propagate as
-an int64 sentinel: :data:`DEAD_ADDRESS` is ``-1``, whose every address
-bit reads 1, so a word crossing a dead link keeps routing (as garbage)
-and keeps the sentinel through every later stage until the output-side
-address check flags it.
+per-stage dead-link flags.  A main stage with a stuck override runs
+wholly on the arbiter (:func:`tree_stage_take_indices`), where each
+override is one masked ``where`` over the freshly computed control
+column.  Because the kernels re-decide every splitter from the
+addresses actually present on its inputs — exactly like the adaptive
+object model in :mod:`repro.faults.adaptive` — a masked pass
+reproduces :func:`~repro.faults.adaptive.route_with_stuck_switch` bit
+for bit (pinned exhaustively in the tests), so a faulty fabric is the
+same numpy gather pipeline plus a masked ``where``.  Dead links
+propagate as an int64 sentinel: :data:`DEAD_ADDRESS` is ``-1``, whose
+every address bit reads 1, so a word crossing a dead link keeps
+routing (as garbage, through the tables too) and keeps the sentinel
+through every later stage until the output-side address check flags
+it.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ __all__ = [
     "DEAD_ADDRESS",
     "FaultMask",
     "StagePlan",
+    "TABLE_WIDTH_EXP",
     "batch_stage_take_indices",
+    "bit_sorter_table",
     "build_fault_mask",
     "compiled_plan",
-    "stage_take_indices",
+    "tree_stage_take_indices",
     "vector_splitter_controls",
     "vector_apply_controls",
 ]
@@ -71,6 +76,13 @@ __all__ = [
 #: every shift, so a clobbered word still routes deterministically (as
 #: an all-ones address) and the sentinel survives every later stage.
 DEAD_ADDRESS = np.int64(-1)
+
+#: Bit-sorter tails of at most ``2**TABLE_WIDTH_EXP`` lines route by one
+#: lookup in :func:`bit_sorter_table`; wider splitters use the arbiter.
+TABLE_WIDTH_EXP = 4
+
+#: Rows per step of a table build, so its temporaries stay small.
+_TABLE_CHUNK_ROWS = 4096
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +94,13 @@ class StagePlan:
     The last inner stage has no trailing unshuffle (``None``), matching
     the object model.  ``stage_gather`` is the main-network unshuffle
     ``U_{m-i}^m`` following the stage (``None`` on the last main stage).
+
+    The first ``head_depth`` inner stages (splitters wider than 16
+    lines) run on the arbiter; the rest form bit-sorter tails of
+    ``tail_width`` lines, routed by ``tail_table``
+    (:func:`bit_sorter_table`).  ``tail_bases[y]`` is the first line of
+    the tail block that feeds stage output ``y``, after the stage
+    gather.
     """
 
     stage: int
@@ -90,6 +109,10 @@ class StagePlan:
     inner_widths: Tuple[int, ...]
     inner_gathers: Tuple[Optional[np.ndarray], ...]
     stage_gather: Optional[np.ndarray]
+    head_depth: int
+    tail_width: int
+    tail_table: np.ndarray
+    tail_bases: np.ndarray
 
     @property
     def nested_count(self) -> int:
@@ -247,6 +270,73 @@ def _block_gather(n: int, width_exp: int) -> np.ndarray:
     return (bases[:, None] + inverse[None, :]).reshape(-1)
 
 
+def _pattern_rows(bits: np.ndarray, width: int) -> np.ndarray:
+    """The table row of every run of *width* (2 to 16) lines in *bits*.
+
+    Line ``x`` of a run, read as 1 when nonzero, is bit ``x`` of its
+    row: ``packbits`` puts line 0 in the least significant bit.
+    """
+    packed = np.packbits(bits, axis=None, bitorder="little")
+    if width == 16:
+        return packed.view("<u2")
+    if width == 8:
+        return packed
+    runs = packed[:, None] >> np.arange(0, 8, width, dtype=np.uint8)
+    return (runs & ((1 << width) - 1)).ravel()[: bits.size // width]
+
+
+@functools.lru_cache(maxsize=None)
+def bit_sorter_table(width_exp: int) -> np.ndarray:
+    """The line permutation of a ``2**width_exp``-line bit-sorter network.
+
+    Row ``r`` is the bit-sorter driven by bit ``(r >> x) & 1`` on input
+    line ``x`` and holds the gather ``out[y] = in[table[r, y]]``.  One
+    address-bit slice decides every switch of it, so the table is the
+    whole network.  Built once per process by Definition 2's recursion
+    — one splitter column decided by :func:`vector_splitter_controls`,
+    the unshuffle, two lookups in the table one size down — so it
+    equals the arbiter by construction; in 4,096-row chunks, so the
+    16-line table (65,536 x 16 ``uint8``, 1 MiB) is the only large
+    allocation.
+    """
+    if not 1 <= width_exp <= TABLE_WIDTH_EXP:
+        raise ValueError(
+            f"bit-sorter tables cover 2 to {1 << TABLE_WIDTH_EXP} lines, "
+            f"got 2**{width_exp}"
+        )
+    width = 1 << width_exp
+    half = width // 2
+    lines = np.arange(width, dtype=np.uint8)
+    if width_exp > 1:
+        halves = bit_sorter_table(width_exp - 1)
+        unshuffle = _block_gather(width, width_exp)
+    table = np.empty((1 << width, width), dtype=np.uint8)
+    for start in range(0, len(table), _TABLE_CHUNK_ROWS):
+        rows = np.arange(
+            start, min(start + _TABLE_CHUNK_ROWS, len(table)), dtype=np.uint16
+        )
+        bits = ((rows[:, None] >> lines) & 1).astype(np.uint8)
+        controls = vector_splitter_controls(bits)
+        # The splitter column: each line swaps with its pair partner
+        # exactly when its switch says exchange.
+        step = lines ^ np.repeat(controls, 2, axis=1)
+        if width_exp > 1:
+            step = step[:, unshuffle]
+            moved = np.take_along_axis(bits, step, axis=1)
+            inner = np.concatenate(
+                [
+                    halves[_pattern_rows(moved[:, :half], half)],
+                    halves[_pattern_rows(moved[:, half:], half)]
+                    + np.uint8(half),
+                ],
+                axis=1,
+            )
+            step = np.take_along_axis(step, inner, axis=1)
+        table[start : start + len(rows)] = step
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=None)
 def compiled_plan(m: int) -> CompiledPlan:
     """Build (once per process per ``m``) the compiled routing plan."""
@@ -262,6 +352,10 @@ def compiled_plan(m: int) -> CompiledPlan:
             for j in range(block_exp)
         )
         stage_gather = _block_gather(n, block_exp) if i < m - 1 else None
+        tail_exp = min(block_exp, TABLE_WIDTH_EXP)
+        tail_bases = (np.arange(n, dtype=np.int64) >> tail_exp) << tail_exp
+        if stage_gather is not None:
+            tail_bases = tail_bases[stage_gather]
         stages.append(
             StagePlan(
                 stage=i,
@@ -270,6 +364,10 @@ def compiled_plan(m: int) -> CompiledPlan:
                 inner_widths=widths,
                 inner_gathers=gathers,
                 stage_gather=stage_gather,
+                head_depth=block_exp - tail_exp,
+                tail_width=1 << tail_exp,
+                tail_table=bit_sorter_table(tail_exp),
+                tail_bases=tail_bases,
             )
         )
     line_groups = tuple(
@@ -293,6 +391,7 @@ def compiled_plan(m: int) -> CompiledPlan:
                 gather.flags.writeable = False
         if stage.stage_gather is not None:
             stage.stage_gather.flags.writeable = False
+        stage.tail_bases.flags.writeable = False
     for group in plan.line_groups:
         group.flags.writeable = False
     for array in (plan.pair_even, plan.pair_odd, plan.identity):
@@ -345,90 +444,32 @@ def vector_apply_controls(
     return out
 
 
-def stage_take_indices(
+def _arbiter_take(
     plan: CompiledPlan,
     stage: StagePlan,
     addresses: np.ndarray,
-    mask: Optional[FaultMask] = None,
-) -> np.ndarray:
-    """One main stage's full line permutation, as a gather index array.
+    depth: int,
+    mask: Optional[FaultMask],
+    offsets: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run the first *depth* (at least one) inner stages on the arbiter.
 
-    Runs the stage's nested networks over *addresses* (the per-line
-    destination addresses at the stage's input) exactly as the hardware
-    would — all boxes of each inner stage decided at once by the
-    log-depth arbiter pass — and composes the resulting exchanges with
-    the precompiled unshuffle gathers.  The caller applies the returned
-    ``take`` to every per-line array it carries:
-    ``new_arr = arr[take]``.
-
-    With a :class:`FaultMask`, each inner stage's stuck switches hold
-    their forced value in place of the arbiter's decision — a single
-    masked ``where`` over the control column.  Downstream splitters
-    still re-decide from the addresses actually in front of them, so
-    the faulty vector pass matches the adaptive object model exactly.
-    (Dead-link clobbering happens at stage *input*, in the caller —
-    see :data:`DEAD_ADDRESS`.)
-    """
-    take = plan.identity
-    current = addresses
-    shift = stage.shift
-    for j, (width, gather) in enumerate(
-        zip(stage.inner_widths, stage.inner_gathers)
-    ):
-        blocks = current.reshape(-1, width)
-        bits = (blocks >> shift) & 1
-        controls = vector_splitter_controls(bits)
-        if mask is not None:
-            override = mask.overrides.get((stage.stage, j))
-            if override is not None:
-                forced, values = override
-                controls = np.where(forced, values, controls)
-        # One full-width "swap with partner" index per line...
-        exchange = np.repeat(controls.reshape(-1).astype(bool), 2)
-        swap = np.where(exchange, plan.identity ^ 1, plan.identity)
-        # ...composed with the (precompiled) interstage unshuffle.
-        step = swap if gather is None else swap[gather]
-        take = take[step]
-        current = current[step]
-    if stage.stage_gather is not None:
-        take = take[stage.stage_gather]
-    return take
-
-
-def batch_stage_take_indices(
-    plan: CompiledPlan,
-    stage: StagePlan,
-    addresses: np.ndarray,
-    mask: Optional[FaultMask] = None,
-) -> np.ndarray:
-    """One main stage over a whole **batch** of frames at once.
-
-    The frame-axis form of :func:`stage_take_indices`: *addresses* has
-    shape ``(batch, n)`` — one row per independent frame — and the
-    returned ``take`` has the same shape, row ``b`` being the gather
-    index array for frame ``b``.  Every splitter column of every frame
-    is decided in one arbiter pass (the frames stack onto the block
-    axis, so the log-depth XOR-up/flag-down recursion is identical),
-    and the per-frame exchange/unshuffle compositions become
-    ``take_along_axis`` gathers with the frame axis leading.  A
-    :class:`FaultMask` broadcasts over the batch: the same physical
-    switch is stuck in every frame, exactly as hardware would be.
+    Returns ``(take, current)``: the composed ``(batch, n)`` gather
+    index and the addresses it leaves on the lines.  Every splitter
+    column of every frame is decided in one arbiter pass (the frames
+    stack onto the block axis), and a stuck override in *mask* holds
+    its forced controls — the same physical switch stuck in every
+    frame.
     """
     batch = addresses.shape[0]
-    # Row offsets turn per-frame gathers into one flat ``take`` over the
-    # ravelled batch — much cheaper than ``take_along_axis``, which
-    # rebuilds a full index grid on every call.
-    offsets = (np.arange(batch, dtype=np.int64) * plan.n)[:, None]
     take: Optional[np.ndarray] = None
     current = addresses
-    shift = stage.shift
-    for j, (width, gather) in enumerate(
-        zip(stage.inner_widths, stage.inner_gathers)
-    ):
+    for j in range(depth):
+        width = stage.inner_widths[j]
+        gather = stage.inner_gathers[j]
         # (batch * blocks, width): frames stack onto the block axis.
         blocks = current.reshape(-1, width)
-        bits = (blocks >> shift) & 1
-        controls = vector_splitter_controls(bits)
+        controls = vector_splitter_controls((blocks >> stage.shift) & 1)
         if mask is not None:
             override = mask.overrides.get((stage.stage, j))
             if override is not None:
@@ -445,10 +486,75 @@ def batch_stage_take_indices(
         # gather is frame-independent wiring, so fancy-indexing the
         # column axis applies it to every frame at once.
         step = swap if gather is None else swap[:, gather]
+        # Row offsets turn per-frame gathers into one flat ``take`` over
+        # the ravelled batch — much cheaper than ``take_along_axis``.
         flat = step + offsets
         current = current.ravel().take(flat)
         # First step composes with identity — the step IS the take.
         take = step if take is None else take.ravel().take(flat)
+    return take, current
+
+
+def tree_stage_take_indices(
+    plan: CompiledPlan,
+    stage: StagePlan,
+    addresses: np.ndarray,
+    mask: Optional[FaultMask] = None,
+) -> np.ndarray:
+    """One main stage decided wholly by the arbiter, over a batch.
+
+    *addresses* is ``(batch, n)``, the per-line destination addresses
+    at the stage's input; the returned ``take`` has the same shape:
+    ``new = old[take]`` row by row.  A :class:`FaultMask`'s stuck
+    switches hold their forced value in place of the arbiter's
+    decision, and downstream splitters re-decide from the addresses in
+    front of them, as in the adaptive object model.  (Dead links
+    clobber words at stage input, in the caller.)  The reference the
+    stage tables equal.
+    """
+    offsets = (np.arange(addresses.shape[0], dtype=np.int64) * plan.n)[:, None]
+    take, _current = _arbiter_take(
+        plan, stage, addresses, stage.block_exp, mask, offsets
+    )
     if stage.stage_gather is not None:
         take = take[:, stage.stage_gather]
     return take
+
+
+def _table_step(stage: StagePlan, addresses: np.ndarray) -> np.ndarray:
+    """The stage's bit-sorter tails, and its unshuffle, as one gather.
+
+    Packs each tail's slice bits into its row of ``stage.tail_table``
+    and offsets the row's in-tail gather by the tail's first line.
+    """
+    rows = _pattern_rows(addresses & (1 << stage.shift), stage.tail_width)
+    local = stage.tail_table.take(rows, axis=0).reshape(addresses.shape)
+    if stage.stage_gather is not None:
+        local = local.take(stage.stage_gather, axis=1)
+    return local + stage.tail_bases
+
+
+def batch_stage_take_indices(
+    plan: CompiledPlan,
+    stage: StagePlan,
+    addresses: np.ndarray,
+    mask: Optional[FaultMask] = None,
+) -> np.ndarray:
+    """One main stage over a batch: arbiter head, table tail.
+
+    Same contract and answer as :func:`tree_stage_take_indices`.  The
+    stage's first ``head_depth`` inner stages (splitters wider than 16
+    lines) run on the arbiter, and each bit-sorter tail after them is
+    one table row.  A stage with a stuck override in *mask* runs wholly
+    on the arbiter; dead links need no such care, since
+    :data:`DEAD_ADDRESS` reads as all ones in the table row too.
+    """
+    if mask is not None and any(i == stage.stage for i, _j in mask.overrides):
+        return tree_stage_take_indices(plan, stage, addresses, mask)
+    if not stage.head_depth:
+        return _table_step(stage, addresses)
+    offsets = (np.arange(addresses.shape[0], dtype=np.int64) * plan.n)[:, None]
+    take, current = _arbiter_take(
+        plan, stage, addresses, stage.head_depth, None, offsets
+    )
+    return take.ravel().take(_table_step(stage, current) + offsets)

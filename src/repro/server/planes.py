@@ -221,10 +221,11 @@ class BackendPlane:
     ) -> List[CompletedFrame]:
         """Route *blocks* in one call; return their completions.
 
-        A lone frame goes through ``route_frame``, which is cheaper than
-        a batch of one; several share one ``route_frame_batch``, as does
-        every call under a resilient plane's fault mask.  A resilient
-        plane's policy deliveries go to *served*.
+        A lone frame goes through ``route_frame`` (on ``bnb`` a one-row
+        batch of the same kernel); several share one
+        ``route_frame_batch``, as does every call under a resilient
+        plane's fault mask.  A resilient plane's policy deliveries go
+        to *served*.
         """
         addresses = (
             blocks[0].addresses

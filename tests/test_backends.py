@@ -189,15 +189,27 @@ class TestDifferentialFuzz:
 
 class TestFaultMaskCapability:
     def test_bnb_routes_through_a_mask(self):
-        from repro.core.pipeline_fast import route_frame_sources
+        from repro.core.pipeline_fast import route_frame_batch
 
         engine = compiled_backend("bnb", 3)
         frame = np.array([4, 1, 5, 2, 0, 3, 7, 6], dtype=np.int64)
         # No mask: same kernel, same answer.
         assert np.array_equal(
             engine.route_frame(frame, mask=None),
-            route_frame_sources(3, frame),
+            route_frame_batch(3, frame[None])[0],
         )
+
+    @pytest.mark.parametrize(
+        "frame",
+        [np.arange(8), np.arange(32), np.arange(16).reshape(4, 4)],
+        ids=["8-words", "32-words", "4x4-array"],
+    )
+    def test_malformed_lone_frame_names_the_batch_shape(self, frame):
+        """A lone frame is a one-row batch, so a malformed one gets the
+        batch kernel's shape error, not a numpy internal."""
+        engine = compiled_backend("bnb", 4)
+        with pytest.raises(ValueError, match=r"shape \(batch, 16\)"):
+            engine.route_frame(frame)
 
     def test_unflagged_backends_take_no_mask_kwarg(self):
         frame = np.array([1, 0], dtype=np.int64)

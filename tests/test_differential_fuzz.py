@@ -8,6 +8,7 @@ implementations into one confidence argument.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
@@ -61,31 +62,30 @@ def test_all_implementations_agree(case):
         assert decoded == list(range(n))
 
 
-@st.composite
-def frame_schedules(draw):
+def _draw_schedule(draw, n, max_cycles):
     """A pipelined-fabric driving schedule: per cycle either an idle
     bubble or a (possibly partial) frame of destination requests."""
-    m = draw(st.integers(1, 4))
-    n = 1 << m
-    cycles = draw(st.integers(1, 12))
     schedule = []
-    for _ in range(cycles):
+    for _ in range(draw(st.integers(1, max_cycles))):
         if draw(st.booleans()):
             schedule.append(None)  # idle cycle: no frame enters
             continue
         # A partial frame: each input independently idle or requesting.
-        subset = draw(
-            st.sets(st.integers(0, n - 1), max_size=n)
-        )
+        subset = draw(st.sets(st.integers(0, n - 1), max_size=n))
         order = draw(st.permutations(sorted(subset)))
         requests = [None] * n
-        lines = draw(
-            st.permutations(list(range(n)))
-        )
+        lines = draw(st.permutations(list(range(n))))
         for line, dest in zip(lines, order):
             requests[line] = dest
         schedule.append(requests)
-    return m, schedule
+    return schedule
+
+
+@st.composite
+def frame_schedules(draw):
+    """A schedule of partial frames and bubbles at m = 1..4."""
+    m = draw(st.integers(1, 4))
+    return m, _draw_schedule(draw, 1 << m, 12)
 
 
 def _object_deliveries(pipeline, schedule):
@@ -176,20 +176,7 @@ def faulted_frame_schedules(draw):
         )
     )
     faults = [(pick, draw(st.integers(0, 1))) for pick in picks]
-    cycles = draw(st.integers(1, 8))
-    schedule = []
-    for _ in range(cycles):
-        if draw(st.booleans()):
-            schedule.append(None)
-            continue
-        subset = draw(st.sets(st.integers(0, n - 1), max_size=n))
-        order = draw(st.permutations(sorted(subset)))
-        requests = [None] * n
-        lines = draw(st.permutations(list(range(n))))
-        for line, dest in zip(lines, order):
-            requests[line] = dest
-        schedule.append(requests)
-    return m, faults, schedule
+    return m, faults, _draw_schedule(draw, n, 8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,6 +195,149 @@ def test_faulty_vector_pipeline_matches_faulty_object_pipeline(case):
         PipelinedBNBFabric(m, control_override=stuck_override_set(faults)),
         schedule,
     )
+
+
+def _dead_link_fabric(m, faults, dead_links):
+    """The faulty object pipeline, with dead links.
+
+    The object model has no dead-link fault of its own, so this rig
+    adds one: a word entering main stage ``i`` on a dead line routes
+    from there on with address ``-1`` (every address bit reads 1, as
+    :data:`~repro.core.plan.DEAD_ADDRESS` does in the kernel), payload
+    kept.  The stuck override is always installed, so every splitter
+    decides without a balance check, as a faulty fabric must.
+    """
+    from repro.core.pipeline import PipelinedBNBFabric
+    from repro.faults import stuck_override_set
+
+    dead = {}
+    for stage, line in dead_links:
+        dead.setdefault(stage, set()).add(line)
+
+    class DeadLinkFabric(PipelinedBNBFabric):
+        def _route_stage(self, stage, words):
+            lines = dead.get(stage, ())
+            words = [
+                Word(address=-1, payload=word.payload)
+                if line in lines
+                else word
+                for line, word in enumerate(words)
+            ]
+            return super()._route_stage(stage, words)
+
+    return DeadLinkFabric(m, control_override=stuck_override_set(faults))
+
+
+def _source_lines(m, schedule, faults, dead_links):
+    """Each frame's output order as source lines, on the kernel under a
+    :class:`~repro.core.plan.FaultMask` and on the object rig."""
+    from repro.core.pipeline_fast import route_frame_batch
+    from repro.core.traffic import complete_partial_permutation
+    from repro.faults import fault_mask_for
+
+    frames = []
+    fabric = _dead_link_fabric(m, faults, dead_links)
+    delivered = []
+    for tag, requests in enumerate(schedule):
+        if requests is not None:
+            full, _ = complete_partial_permutation(requests)
+            frames.append(full)
+            fabric.offer_words(
+                [Word(address=a, payload=line) for line, a in enumerate(full)],
+                tag=tag,
+            )
+        delivered.extend(fabric.step())
+    delivered.extend(fabric.drain())
+    obj = [[word.payload for word in outputs] for _tag, outputs in delivered]
+    if not frames:
+        return [], obj
+    mask = fault_mask_for(m, faults, dead_links=dead_links)
+    return route_frame_batch(m, np.array(frames), mask=mask).tolist(), obj
+
+
+@st.composite
+def split_faulted_frame_schedules(draw):
+    """Faults at m = 5, across the kernel's arbiter/table split.
+
+    Main stage 0 opens with a 32-line splitter (its arbiter head); every
+    other splitter sits in a bit-sorter tail of at most 16 lines, routed
+    by table unless its stage carries a stuck switch, which sends the
+    whole stage to the arbiter.  Stuck switches are drawn from both
+    places (a head fault sends stage 0 to the arbiter; without one,
+    stage 0 crosses from arbiter head to table tail under the mask), and
+    every dead link sits on a stage with no stuck switch, so it crosses
+    table stages.
+    """
+    from repro.faults import enumerate_switch_coordinates
+
+    m = 5
+    n = 1 << m
+    coordinates = list(enumerate_switch_coordinates(m))
+    head = [
+        c for c in coordinates if c.main_stage == 0 and c.nested_stage == 0
+    ]
+    tail = [c for c in coordinates if c not in head]
+    head_count = draw(st.integers(0, 1), label="head faults")
+    picks = draw(
+        st.lists(
+            st.sampled_from(head), min_size=head_count, max_size=head_count
+        )
+    ) + draw(
+        st.lists(
+            st.sampled_from(tail),
+            min_size=1 - head_count,
+            max_size=2,
+            unique=True,
+        )
+    )
+    faults = [(pick, draw(st.integers(0, 1))) for pick in picks]
+    stuck_stages = {pick.main_stage for pick in picks}
+    table_stages = [i for i in range(m) if i not in stuck_stages]
+    dead_links = draw(
+        st.lists(
+            st.tuples(st.sampled_from(table_stages), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        )
+    )
+    return m, faults, dead_links, _draw_schedule(draw, n, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(split_faulted_frame_schedules())
+def test_masked_kernel_matches_object_pipeline_across_table_split(case):
+    """At m = 5 the masked kernel mixes arbiter heads, table tails and
+    arbiter fallbacks; frame by frame it must corrupt exactly as the
+    faulty object pipeline does, dead links included."""
+    m, faults, dead_links, schedule = case
+    kernel, obj = _source_lines(m, schedule, faults, dead_links)
+    assert kernel == obj
+
+
+@pytest.mark.parametrize(
+    "stuck, dead_links",
+    [
+        # Head fault: stage 0 on the arbiter, dead links on table stages.
+        ([((0, 0, 0, 0, 5), 1)], [(2, 7), (4, 30)]),
+        # Tail fault in stage 3: stage 0 crosses head to table under
+        # the mask, with a dead link entering it and one entering stage 1.
+        ([((3, 5, 0, 0, 1), 0)], [(0, 3), (1, 19)]),
+        # Tail fault inside stage 0's 16-line tail, so the whole stage
+        # runs on the arbiter; a 2-line tail fault in stage 4.
+        ([((0, 0, 2, 3, 2), 1), ((4, 11, 0, 0, 0), 0)], [(2, 0)]),
+    ],
+    ids=["head", "tail-stage-3", "tail-stage-0"],
+)
+def test_masked_kernel_table_split_cases_m5(stuck, dead_links):
+    """Pinned cases of the property above, one per placement."""
+    from repro.faults import SwitchCoordinate
+
+    faults = [(SwitchCoordinate(*where), value) for where, value in stuck]
+    rng = np.random.default_rng(5)
+    schedule = [rng.permutation(32).tolist() for _ in range(6)]
+    kernel, obj = _source_lines(5, schedule, faults, dead_links)
+    assert kernel == obj and len(kernel) == 6
 
 
 @settings(max_examples=15, deadline=None)

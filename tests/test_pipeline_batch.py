@@ -1,23 +1,26 @@
 """The frame-axis batch kernel: word-for-word parity with every oracle.
 
-``route_frame_batch`` must agree row for row with the single-frame
-vector kernel *and* with the reference object pipeline — healthy and
-faulty alike — because it is the kernel the gateway's ``send_batch``
-path trusts for whole windows of live frames at once.
+``route_frame_batch`` must agree row for row with its own one-row
+batches (the lone-frame path), with the arbiter-only stage kernel it
+replaces on the stage-table tails, *and* with the reference object
+pipeline — healthy and faulty alike — because it is the kernel the
+gateway trusts for lone frames and whole windows of live frames alike.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Word, route_frame_sources
+from repro.backends import compiled_backend
+from repro.core import Word
 from repro.core.pipeline import PipelinedBNBFabric
 from repro.core.pipeline_fast import route_frame_batch
 from repro.core.plan import (
+    DEAD_ADDRESS,
     batch_stage_take_indices,
     build_fault_mask,
     compiled_plan,
-    stage_take_indices,
+    tree_stage_take_indices,
 )
 from repro.permutations import random_permutation
 
@@ -30,13 +33,35 @@ def _frames(m, batch, seed=0):
     ).astype(np.int64)
 
 
+def _lone(m, row, mask=None):
+    """One frame on the lone-frame path: the backend's ``route_frame``."""
+    return compiled_backend("bnb", m).route_frame(row, mask=mask)
+
+
+def _tree_route(m, addresses, mask=None):
+    """Every stage wholly on the arbiter, no stage table: the reference."""
+    plan = compiled_plan(m)
+    current = addresses
+    sources = np.broadcast_to(plan.identity, addresses.shape)
+    for stage in plan.stages:
+        if mask is not None and stage.stage in mask.dead_links:
+            current = np.where(
+                mask.dead_links[stage.stage], DEAD_ADDRESS, current
+            )
+        take = tree_stage_take_indices(plan, stage, current, mask=mask)
+        current = np.take_along_axis(current, take, axis=1)
+        sources = np.take_along_axis(sources, take, axis=1)
+    return sources
+
+
 class TestHealthyParity:
     @pytest.mark.parametrize("m", [1, 2, 3, 6, 8])
     def test_rowwise_parity_with_single_frame_kernel(self, m):
         addresses = _frames(m, batch=13, seed=m)
         batched = route_frame_batch(m, addresses)
+        assert np.array_equal(batched, _tree_route(m, addresses))
         for row in range(addresses.shape[0]):
-            single = route_frame_sources(m, addresses[row])
+            single = _lone(m, addresses[row])
             assert np.array_equal(batched[row], single), (m, row)
 
     def test_word_for_word_parity_with_object_pipeline_m6(self):
@@ -63,10 +88,9 @@ class TestHealthyParity:
 
     def test_single_row_batch_matches_single_frame(self):
         addresses = _frames(4, batch=1, seed=9)
-        assert np.array_equal(
-            route_frame_batch(4, addresses)[0],
-            route_frame_sources(4, addresses[0]),
-        )
+        sources = _lone(4, addresses[0])
+        assert np.array_equal(route_frame_batch(4, addresses)[0], sources)
+        assert np.array_equal(addresses[0][sources], np.arange(16))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -80,10 +104,9 @@ class TestHealthyParity:
         ]
         addresses = np.asarray(rows, dtype=np.int64)
         batched = route_frame_batch(m, addresses)
+        assert np.array_equal(batched, _tree_route(m, addresses))
         for row in range(batch):
-            assert np.array_equal(
-                batched[row], route_frame_sources(m, addresses[row])
-            )
+            assert np.array_equal(batched[row], _lone(m, addresses[row]))
 
 
 class TestFaultyParity:
@@ -96,10 +119,10 @@ class TestFaultyParity:
         )
         addresses = _frames(m, batch=9, seed=5)
         batched = route_frame_batch(m, addresses, mask=mask)
+        assert np.array_equal(batched, _tree_route(m, addresses, mask))
         for row in range(addresses.shape[0]):
             assert np.array_equal(
-                batched[row],
-                route_frame_sources(m, addresses[row], mask=mask),
+                batched[row], _lone(m, addresses[row], mask=mask)
             )
 
     def test_faulty_parity_m6(self):
@@ -111,23 +134,34 @@ class TestFaultyParity:
         )
         addresses = _frames(m, batch=7, seed=6)
         batched = route_frame_batch(m, addresses, mask=mask)
+        assert np.array_equal(batched, _tree_route(m, addresses, mask))
         for row in range(addresses.shape[0]):
             assert np.array_equal(
-                batched[row],
-                route_frame_sources(m, addresses[row], mask=mask),
+                batched[row], _lone(m, addresses[row], mask=mask)
             )
 
 
 class TestStageKernel:
     def test_batch_stage_take_matches_single_stage_take(self):
-        m = 4
-        plan = compiled_plan(m)
-        addresses = _frames(m, batch=6, seed=3)
-        for stage in plan.stages:
-            batched = batch_stage_take_indices(plan, stage, addresses)
-            for row in range(addresses.shape[0]):
-                single = stage_take_indices(plan, stage, addresses[row])
-                assert np.array_equal(batched[row], single), stage.stage
+        """Per stage, a batch equals its one-row batches and the
+        arbiter-only stage: at m=4 every stage is a table tail, at m=6
+        stages 0 and 1 cross from arbiter head to table tail."""
+        for m in (4, 6):
+            plan = compiled_plan(m)
+            addresses = _frames(m, batch=6, seed=3)
+            for stage in plan.stages:
+                batched = batch_stage_take_indices(plan, stage, addresses)
+                assert np.array_equal(
+                    batched, tree_stage_take_indices(plan, stage, addresses)
+                ), (m, stage.stage)
+                for row in range(addresses.shape[0]):
+                    single = batch_stage_take_indices(
+                        plan, stage, addresses[row : row + 1]
+                    )[0]
+                    assert np.array_equal(batched[row], single), (
+                        m,
+                        stage.stage,
+                    )
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ network.
 import numpy as np
 import pytest
 
-from repro.core import Word, route_frame_sources
+from repro.core import Word, route_frame_batch
 from repro.core.pipeline import PipelinedBNBFabric
 from repro.permutations import random_permutation
 from repro.server import BackendPlane, Block
@@ -124,7 +124,7 @@ class TestRouteFrameSources:
         n = 1 << m
         for seed in range(5):
             pi = random_permutation(n, rng=seed).to_list()
-            sources = route_frame_sources(m, np.array(pi))
+            sources = route_frame_batch(m, np.array([pi]))[0]
             assert [pi[source] for source in sources.tolist()] == list(
                 range(n)
             )

@@ -5,7 +5,10 @@ import pytest
 
 from repro.core import BNBNetwork, compiled_plan
 from repro.core.plan import (
-    stage_take_indices,
+    TABLE_WIDTH_EXP,
+    batch_stage_take_indices,
+    bit_sorter_table,
+    tree_stage_take_indices,
     vector_apply_controls,
     vector_splitter_controls,
 )
@@ -90,6 +93,61 @@ class TestVectorKernels:
             pi = np.array(random_permutation(n, rng=seed).to_list())
             lines = pi
             for stage in plan.stages:
-                lines = lines[stage_take_indices(plan, stage, lines)]
+                take = batch_stage_take_indices(plan, stage, lines[None])
+                lines = lines[take[0]]
             assert np.array_equal(lines, np.arange(n))
             assert np.array_equal(net.route_fast(pi), np.arange(n))
+
+
+class TestStageTables:
+    @pytest.mark.parametrize("width_exp", [1, 2, 3, 4])
+    def test_every_row_equals_the_arbiter(self, width_exp):
+        """Row r of the 2**p-line table is the arbiter kernel's line
+        permutation for the bit pattern r (line x carries bit x of r):
+        all 65,536 rows at 16 lines."""
+        width = 1 << width_exp
+        table = bit_sorter_table(width_exp)
+        assert table.shape == (1 << width, width)
+        assert table.dtype == np.uint8
+        # One nested network spans the whole first stage of this plan.
+        plan = compiled_plan(width_exp)
+        stage = plan.stages[0]
+        lines = np.arange(width)
+        for start in range(0, 1 << width, 8192):
+            rows = np.arange(start, min(start + 8192, 1 << width))
+            bits = (rows[:, None] >> lines) & 1
+            take = tree_stage_take_indices(plan, stage, bits << stage.shift)
+            if stage.stage_gather is not None:
+                # The table stops before the main-stage unshuffle.
+                take = take[:, np.argsort(stage.stage_gather)]
+            assert np.array_equal(table[rows], take), start
+
+    @pytest.mark.parametrize("width_exp", [1, 2, 3, 4])
+    def test_tables_are_read_only_and_shared(self, width_exp):
+        table = bit_sorter_table(width_exp)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert bit_sorter_table(width_exp) is table
+
+    def test_table_width_is_bounded(self):
+        with pytest.raises(ValueError):
+            bit_sorter_table(TABLE_WIDTH_EXP + 1)
+        with pytest.raises(ValueError):
+            bit_sorter_table(0)
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 6, 9])
+    def test_stages_split_into_arbiter_head_and_table_tail(self, m):
+        """Splitters wider than 16 lines stay on the arbiter; the rest
+        of each stage is one bit-sorter table of min(16, 2**(m-i))
+        lines.  The plan shares the per-process tables."""
+        plan = compiled_plan(m)
+        for stage in plan.stages:
+            tail_exp = min(stage.block_exp, TABLE_WIDTH_EXP)
+            assert stage.tail_width == 1 << tail_exp
+            assert stage.head_depth == stage.block_exp - tail_exp
+            assert all(
+                width > 16 for width in stage.inner_widths[: stage.head_depth]
+            )
+            assert stage.tail_table is bit_sorter_table(tail_exp)
+            assert not stage.tail_bases.flags.writeable

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Word
 from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
-from repro.core.pipeline_fast import route_frame_batch, route_frame_sources
+from repro.core.pipeline_fast import route_frame_batch
 from repro.core.plan import DEAD_ADDRESS, FaultMask, build_fault_mask
 from repro.exceptions import FaultError
 from repro.faults import (
@@ -112,7 +112,7 @@ class TestMaskedKernels:
             words = reversal_words(8)
             outputs = obj.route_batch(list(words))
             addresses = np.array([w.address for w in words])
-            sources = route_frame_sources(3, addresses, mask=mask)
+            sources = route_frame_batch(3, addresses[None], mask=mask)[0]
             assert [(w.address, w.payload) for w in outputs] == [
                 (words[s].address, words[s].payload) for s in sources.tolist()
             ]
@@ -128,7 +128,7 @@ class TestMaskedKernels:
         # visible to the output-side address check.
         mask = build_fault_mask(3, dead_links=[(1, 0)])
         identity = np.arange(8)
-        sources = route_frame_sources(3, identity, mask=mask)
+        sources = route_frame_batch(3, identity[None], mask=mask)[0]
         # No word is lost: every input line comes out, rearranged.
         assert sorted(sources.tolist()) == list(range(8))
         outputs = arrived(identity, sources)
