@@ -28,11 +28,11 @@ import json
 import pytest
 
 from repro.core import Word
-from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
 from repro.faults import (
     SwitchCoordinate,
     build_bist_schedule,
     enumerate_switch_coordinates,
+    fault_mask_for,
     misrouted_outputs,
     recovery_experiment,
     route_with_stuck_switch,
@@ -53,7 +53,9 @@ def test_masking_rate(benchmark, write_artifact):
             pi = random_permutation(1 << m, rng=seed)
             words = [Word(address=pi(j), payload=j) for j in range(1 << m)]
             for value in (0, 1):
-                outputs = route_with_stuck_switch(m, words, coordinate, value)
+                outputs = route_with_stuck_switch(
+                    m, words, fault_mask_for(m, [(coordinate, value)])
+                )
                 total += 1
                 masked += not misrouted_outputs(outputs)
         return masked, total
@@ -93,20 +95,6 @@ def test_recovery_statistics(benchmark, m, write_artifact):
     )
 
 
-def _faulty_pipeline(m, coordinate, value):
-    return PipelinedBNBFabric(
-        m,
-        control_override=stuck_control_override(
-            coordinate.main_stage,
-            coordinate.nested,
-            coordinate.nested_stage,
-            coordinate.box,
-            coordinate.switch,
-            value,
-        ),
-    )
-
-
 def test_resilient_service_sweep(benchmark, write_artifact):
     """Exhaustive single-fault sweep of the full service at N=8.
 
@@ -133,7 +121,7 @@ def test_resilient_service_sweep(benchmark, write_artifact):
         for coordinate, value in faults:
             fabric = ResilientFabric(
                 m,
-                pipeline=_faulty_pipeline(m, coordinate, value),
+                mask=fault_mask_for(m, [(coordinate, value)]),
                 schedule=schedule,
             )
             result = fabric.submit(
@@ -192,7 +180,6 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
     """
     import time
 
-    from repro.faults import fault_mask_for
     from repro.service import FaultPolicy
 
     def timed_words_per_sec(service, perms, batches):
@@ -236,7 +223,7 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
             faulted = {
                 "object": ResilientFabric(
                     m,
-                    pipeline=_faulty_pipeline(m, coordinate, 1),
+                    mask=fault_mask_for(m, [(coordinate, 1)]),
                     schedule=schedule,
                 ),
                 "vector": FaultPolicy(

@@ -75,6 +75,7 @@ def coverage_study() -> None:
 
 def adaptive_model_and_recovery() -> None:
     from repro.faults import (
+        fault_mask_for,
         recovery_experiment,
         route_with_stuck_switch,
     )
@@ -82,12 +83,13 @@ def adaptive_model_and_recovery() -> None:
     print("\nAdaptive model (downstream arbiters re-decide on live data):")
     m = 4
     coordinate = SwitchCoordinate(0, 0, 0, 0, 0)
+    masks = [fault_mask_for(m, [(coordinate, value)]) for value in (0, 1)]
     masked = 0
     for seed in range(20):
         pi = random_permutation(16, rng=seed)
         words = [Word(address=pi(j), payload=j) for j in range(16)]
-        for value in (0, 1):
-            outputs = route_with_stuck_switch(m, words, coordinate, value)
+        for mask in masks:
+            outputs = route_with_stuck_switch(m, words, mask)
             masked += not misrouted_outputs(outputs)
     print(
         f"  stage-0 stuck switch masked in {masked}/40 runs — later\n"

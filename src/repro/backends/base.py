@@ -10,10 +10,9 @@ plane's frames" as a measured choice instead of a hard-coded one.
 The contract has two halves:
 
 * a :class:`BackendSpec` — the registry entry: name, one-line summary,
-  capability flags (``supports_fault_mask`` for engines that accept a
-  :class:`~repro.core.plan.FaultMask`, ``supports_partial`` for engines
-  that can route non-permutation frames) and a ``factory`` that
-  compiles the per-``m`` engine;
+  a capability flag (``supports_fault_mask`` for engines that accept a
+  :class:`~repro.core.plan.FaultMask`) and a ``factory`` that compiles
+  the per-``m`` engine;
 * a compiled engine (:class:`RoutingBackend`) — built **once per
   (backend, m)** and cached process-wide, exposing ``route_frame`` /
   ``route_frame_batch`` over int64 numpy address arrays.  Both return
@@ -75,7 +74,9 @@ class RoutingBackend(Protocol):
         ...
 
     def route_frame_batch(self, addresses: np.ndarray) -> np.ndarray:
-        """Route a ``(batch, n)`` stack of independent frames at once."""
+        """Route a ``(batch, n)`` stack of independent frames at once
+        (an empty ``(0, n)`` batch gives an empty ``(0, n)`` int64
+        array)."""
         ...
 
 
@@ -90,19 +91,12 @@ class BackendSpec:
     #: ``mask=`` keyword on its route methods) and reproduces the
     #: faulty fabric's arrival order.
     supports_fault_mask: bool = False
-    #: The engine delivers the active words of a frame whose idle lines
-    #: carry no genuine destination.  Every current backend requires a
-    #: full permutation (the scheduler's self-addressed filler provides
-    #: one), so this stays ``False`` until a partial-capable engine —
-    #: e.g. a concentrator front end — registers.
-    supports_partial: bool = False
 
     def describe(self) -> Dict[str, object]:
         return {
             "name": self.name,
             "summary": self.summary,
             "supports_fault_mask": self.supports_fault_mask,
-            "supports_partial": self.supports_partial,
         }
 
 

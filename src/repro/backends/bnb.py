@@ -82,7 +82,9 @@ class BNBObjectBackend:
 
     def route_frame_batch(self, addresses: np.ndarray) -> np.ndarray:
         # The object model has no frame axis; a batch is a Python loop.
-        return np.stack([self.route_frame(row) for row in addresses])
+        return np.array(
+            [self.route_frame(row) for row in addresses], dtype=np.int64
+        ).reshape(-1, self.n)
 
     def __repr__(self) -> str:
         return f"BNBObjectBackend(m={self.m}, n={self.n})"

@@ -78,7 +78,9 @@ class KRBenesBackend:
     def route_frame_batch(self, addresses: np.ndarray) -> np.ndarray:
         # Waksman's looping is global per frame; only the gather half
         # of the work vectorizes, so a batch is a loop of frames.
-        return np.stack([self.route_frame(row) for row in addresses])
+        return np.array(
+            [self.route_frame(row) for row in addresses], dtype=np.int64
+        ).reshape(-1, self.n)
 
     def __repr__(self) -> str:
         return f"KRBenesBackend(m={self.m}, n={self.n})"

@@ -770,7 +770,6 @@ def _command_faults(args: argparse.Namespace) -> int:
         print(fault_tolerance_report(m))
         return 0
 
-    from .core.pipeline import PipelinedBNBFabric, stuck_control_override
     from .faults import (
         enumerate_switch_coordinates,
         fault_mask_for,
@@ -779,29 +778,14 @@ def _command_faults(args: argparse.Namespace) -> int:
     from .service import FaultPolicy, HealthMonitor, ResilientFabric
 
     schedule = shared_bist_schedule(m)
-    pipeline = None
     fault_mask = None
-    coordinate = None
     if args.stuck is not None:
         coordinate = _parse_coordinate(args.stuck)
         if coordinate not in enumerate_switch_coordinates(m):
             raise FaultError(
                 f"{coordinate} is not a switch of the N={args.n} BNB network"
             )
-        if args.engine == "vector":
-            fault_mask = fault_mask_for(m, [(coordinate, args.stuck_value)])
-        else:
-            pipeline = PipelinedBNBFabric(
-                m,
-                control_override=stuck_control_override(
-                    coordinate.main_stage,
-                    coordinate.nested,
-                    coordinate.nested_stage,
-                    coordinate.box,
-                    coordinate.switch,
-                    args.stuck_value,
-                ),
-            )
+        fault_mask = fault_mask_for(m, [(coordinate, args.stuck_value)])
         print(
             f"injected : stuck-at-{args.stuck_value} at "
             f"({args.stuck}) in the primary plane"
@@ -810,7 +794,7 @@ def _command_faults(args: argparse.Namespace) -> int:
         service = FaultPolicy(m, mask=fault_mask, schedule=schedule)
         submit = service.submit
     else:
-        service = ResilientFabric(m, pipeline=pipeline, schedule=schedule)
+        service = ResilientFabric(m, mask=fault_mask, schedule=schedule)
 
         def submit(addresses, tag):
             result = service.submit(addresses, tag=tag)

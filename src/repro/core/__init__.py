@@ -35,12 +35,7 @@ from .traffic import (
     complete_partial_permutation,
     route_partial,
 )
-from .pipeline import (
-    PipelinedBNBFabric,
-    PipelineBatch,
-    PipelineStats,
-    stuck_control_override,
-)
+from .pipeline import PipelinedBNBFabric, PipelineBatch, PipelineStats
 from .plan import (
     DEAD_ADDRESS,
     CompiledPlan,
@@ -81,7 +76,6 @@ __all__ = [
     "MultipassRouter",
     "MultipassResult",
     "PipelinedBNBFabric",
-    "stuck_control_override",
     "PipelineBatch",
     "PipelineStats",
     "CompiledPlan",

@@ -27,20 +27,16 @@ construction; closed-form counterparts are in
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..bits import address_bit, require_power_of_two, unshuffle_index
+from ..bits import address_bit, unshuffle_index
 from ..exceptions import NotAPermutationError, RoutingError
 from ..permutations.permutation import Permutation
 from .bsn import BitSorterNetwork, BSNRecord
 from .pipeline_fast import route_frame_batch
-from .plan import (
-    compiled_plan,
-    vector_apply_controls,
-    vector_splitter_controls,
-)
+from .plan import compiled_plan
 from .routing import PacketPath, RouteStep
 from .words import Word
 
@@ -367,8 +363,3 @@ class BNBNetwork:
     def __repr__(self) -> str:
         return f"BNBNetwork(m={self.m}, n={self.n}, w={self.w})"
 
-
-# The vector kernels moved to :mod:`repro.core.plan` (shared with the
-# pipelined engine); these aliases keep the historical import path.
-_vector_splitter_controls = vector_splitter_controls
-_vector_apply_controls = vector_apply_controls

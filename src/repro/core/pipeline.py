@@ -11,65 +11,29 @@ cycles and steady-state throughput of one full permutation per cycle.
 one :meth:`step` per clock, independent permutations in flight
 simultaneously.  The implementation reuses the same nested-network
 routing code as the combinational model, so the pipeline is a schedule
-around verified logic, not a reimplementation.
+around verified logic, not a reimplementation.  Built with a
+:class:`~repro.core.plan.FaultMask`, its stages run the adaptive fault
+model of :mod:`repro.core.walk` instead: the object oracle the masked
+kernel is tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bits import address_bit, cached_unshuffle_permutation
 from ..exceptions import NotAPermutationError
-from .bnb import BNBNetwork
 from .bsn import BitSorterNetwork
-from .splitter import Splitter
-from .switchbox import apply_pair_controls
+from .plan import FaultMask
+from .walk import AdaptiveModel
 from .words import Word
 
 __all__ = [
     "PipelinedBNBFabric",
     "PipelineBatch",
     "PipelineStats",
-    "ControlOverride",
-    "stuck_control_override",
 ]
-
-#: ``(main_stage, nested, nested_stage, box, controls) -> controls`` —
-#: intercepts every splitter decision; used to model physical switch
-#: faults inside the pipeline (the fault-tolerance service's test rig).
-ControlOverride = Callable[[int, int, int, int, List[int]], List[int]]
-
-
-def stuck_control_override(
-    main_stage: int,
-    nested: int,
-    nested_stage: int,
-    box: int,
-    switch: int,
-    value: int,
-) -> ControlOverride:
-    """An override forcing one switch's control to *value* (stuck-at).
-
-    Accepts the five fields of a
-    :class:`~repro.faults.injector.SwitchCoordinate` (kept positional
-    so :mod:`repro.core` need not import the faults layer).
-    """
-    if value not in (0, 1):
-        raise ValueError(f"stuck-at value must be 0 or 1, got {value!r}")
-
-    def override(
-        i: int, l: int, j: int, b: int, controls: List[int]
-    ) -> List[int]:
-        if (
-            (i, l, j, b) == (main_stage, nested, nested_stage, box)
-            and 0 <= switch < len(controls)
-        ):
-            controls = list(controls)
-            controls[switch] = value
-        return controls
-
-    return override
 
 
 @dataclasses.dataclass
@@ -111,25 +75,22 @@ class PipelinedBNBFabric:
     def __init__(
         self,
         m: int,
-        control_override: Optional[ControlOverride] = None,
+        mask: Optional[FaultMask] = None,
         retain_delivered: bool = True,
     ) -> None:
         if m < 1:
             raise ValueError(f"the fabric needs m >= 1, got {m}")
+        if mask is not None and mask.m != m:
+            raise ValueError(f"fault mask is for m={mask.m}, fabric is m={m}")
         self.m = m
         self.n = 1 << m
         self._bsns: Dict[int, BitSorterNetwork] = {
             k: BitSorterNetwork(k) for k in range(1, m + 1)
         }
-        # With an override installed, splitter decisions are made here
-        # (balance checks off: an intercepted control can unbalance a
-        # downstream block — that is the physics being modelled).
-        self._control_override = control_override
-        self._free_splitters: Dict[int, Splitter] = (
-            {}
-            if control_override is None
-            else {p: Splitter(p, check_balance=False) for p in range(1, m + 1)}
-        )
+        # Under a mask, even one with no faults, every stage runs the
+        # adaptive model; without one, the bit-sorters with their
+        # balance checks.
+        self._adaptive = AdaptiveModel(mask) if mask is not None else None
         # _stages[i] holds the batch currently inside main stage i.
         self._stages: List[Optional[PipelineBatch]] = [None] * m
         self._pending: Optional[PipelineBatch] = None
@@ -143,33 +104,6 @@ class PipelinedBNBFabric:
         self.delivered_count = 0
         self._latencies: List[int] = []
         self._latency_window = 4096
-
-    def install_control_override(
-        self, override: ControlOverride, compose: bool = False
-    ) -> None:
-        """Install a control override at runtime (fault appears live).
-
-        With ``compose=True`` the new override wraps whatever is
-        already installed — the existing faults keep acting and the new
-        one applies on top, so injecting a second stuck switch into an
-        already-faulty fabric accumulates rather than replaces.
-        Batches in flight feel the change from their next stage onward.
-        """
-        if compose and self._control_override is not None:
-            previous = self._control_override
-            added = override
-
-            def override(  # type: ignore[no-redef]
-                i: int, l: int, j: int, b: int, controls: List[int]
-            ) -> List[int]:
-                return added(i, l, j, b, previous(i, l, j, b, controls))
-
-        self._control_override = override
-        if not self._free_splitters:
-            self._free_splitters = {
-                p: Splitter(p, check_balance=False)
-                for p in range(1, self.m + 1)
-            }
 
     # ------------------------------------------------------------------
     # Feeding
@@ -205,6 +139,8 @@ class PipelinedBNBFabric:
     # ------------------------------------------------------------------
     def _route_stage(self, stage: int, words: List[Word]) -> List[Word]:
         """One main stage: nested networks + the following unshuffle."""
+        if self._adaptive is not None:
+            return self._adaptive.route_stage(stage, words)
         m = self.m
         block_exp = m - stage
         block = 1 << block_exp
@@ -216,12 +152,7 @@ class PipelinedBNBFabric:
         routed: List[Word] = [None] * self.n  # type: ignore[list-item]
         for l in range(1 << stage):
             lo = l * block
-            if self._control_override is not None:
-                out = self._route_nested_overridden(
-                    stage, l, words[lo : lo + block]
-                )
-            else:
-                out, _rec = bsn.route_words(words[lo : lo + block], key_of)
+            out, _rec = bsn.route_words(words[lo : lo + block], key_of)
             routed[lo : lo + block] = out
         if stage < m - 1:
             wiring = cached_unshuffle_permutation(m - stage, m)
@@ -230,48 +161,6 @@ class PipelinedBNBFabric:
                 connected[wiring[j]] = value
             return connected
         return routed
-
-    def _route_nested_overridden(
-        self, stage: int, nested: int, segment: List[Word]
-    ) -> List[Word]:
-        """One nested network with every control passed to the override.
-
-        Same walk as :meth:`~repro.core.bsn.BitSorterNetwork.route_words`,
-        but each splitter's decision is routed through
-        ``self._control_override`` before the switches apply it.
-        """
-        assert self._control_override is not None
-        m = self.m
-        block_exp = m - stage
-        block = 1 << block_exp
-        current = list(segment)
-        for j in range(block_exp):
-            width = 1 << (block_exp - j)
-            splitter = self._free_splitters[block_exp - j]
-            routed: List[Word] = [None] * block  # type: ignore[list-item]
-            for box in range(1 << j):
-                base = box * width
-                sub = current[base : base + width]
-                key_bits = [
-                    address_bit(word.address, stage, m) for word in sub
-                ]
-                controls = self._control_override(
-                    stage, nested, j, box, list(splitter.controls(key_bits))
-                )
-                routed[base : base + width] = apply_pair_controls(
-                    sub, controls
-                )
-            if j < block_exp - 1:
-                wiring = cached_unshuffle_permutation(
-                    block_exp - j, block_exp
-                )
-                connected: List[Word] = [None] * block  # type: ignore[list-item]
-                for offset, value in enumerate(routed):
-                    connected[wiring[offset]] = value
-                current = connected
-            else:
-                current = routed
-        return current
 
     def step(self) -> List[Tuple[Any, List[Word]]]:
         """Advance one clock; return batches that completed this cycle."""

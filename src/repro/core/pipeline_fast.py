@@ -11,16 +11,16 @@ Python-level ``Word``, ``Splitter`` or ``Arbiter`` is touched.  It is
 the ``"bnb"`` routing backend (:mod:`repro.backends.bnb`) that the
 gateway's ``vector``, ``batch`` and ``bnb`` engines serve on.
 
-Physical faults ride along as data rather than as the object engine's
-``control_override`` callback: pass a
+Physical faults ride along as data: pass a
 :class:`~repro.core.plan.FaultMask` and every stuck switch becomes a
 masked ``where`` over its stage's control column (that stage runs
 wholly on the arbiter), while dead links clobber their line's address
 to :data:`~repro.core.plan.DEAD_ADDRESS` at stage input so the sentinel
 propagates to the output-side check.  Because each stage re-decides
-its splitters from live addresses, the masked kernel agrees with the
-adaptive object model (``route_with_stuck_switch`` /
-``PipelinedBNBFabric(control_override=...)``) bit for bit; the
+its splitters from live addresses, the masked kernel agrees bit for
+bit with the adaptive object model
+(:class:`~repro.core.walk.AdaptiveModel`, behind
+``PipelinedBNBFabric(m, mask=...)``) fed the same mask; the
 differential fuzz suite checks it frame by frame.
 """
 

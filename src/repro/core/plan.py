@@ -12,10 +12,8 @@ main stage it precomputes, as numpy arrays,
   transition is a single fancy-indexing operation;
 * the **main-stage gather** — the ``U_{m-i}^m`` unshuffle following the
   stage's nested networks;
-* the **nested-network line groupings** — which contiguous lines form
-  each NB(i, l), for boundary checks and sampled verification;
-* the **pair indices** — even/odd line index arrays the switch columns
-  pair up.
+* the **bit-sorter tables** — each tail of at most 16 lines as one
+  lookup (:func:`bit_sorter_table`).
 
 Plans are cached per ``m`` (:func:`compiled_plan`), so every fabric,
 plane and worker process of a given size shares one set of tables.
@@ -35,10 +33,10 @@ wholly on the arbiter (:func:`tree_stage_take_indices`), where each
 override is one masked ``where`` over the freshly computed control
 column.  Because the kernels re-decide every splitter from the
 addresses actually present on its inputs — exactly like the adaptive
-object model in :mod:`repro.faults.adaptive` — a masked pass
-reproduces :func:`~repro.faults.adaptive.route_with_stuck_switch` bit
-for bit (pinned exhaustively in the tests), so a faulty fabric is the
-same numpy gather pipeline plus a masked ``where``.  Dead links
+object model (:class:`~repro.core.walk.AdaptiveModel`) — a masked pass
+reproduces that model under the same mask bit for bit (pinned
+exhaustively in the tests), so a faulty fabric is the same numpy
+gather pipeline plus a masked ``where``.  Dead links
 propagate as an int64 sentinel: :data:`DEAD_ADDRESS` is ``-1``, whose
 every address bit reads 1, so a word crossing a dead link keeps
 routing (as garbage, through the tables too) and keeps the sentinel
@@ -69,7 +67,6 @@ __all__ = [
     "compiled_plan",
     "tree_stage_take_indices",
     "vector_splitter_controls",
-    "vector_apply_controls",
 ]
 
 #: The dead-link sentinel.  As an int64, ``(-1 >> shift) & 1 == 1`` for
@@ -126,13 +123,6 @@ class CompiledPlan:
     m: int
     n: int
     stages: Tuple[StagePlan, ...]
-    #: ``line_groups[i]`` has shape ``(2**i, 2**(m-i))``: row ``l`` lists
-    #: the contiguous lines of nested network NB(i, l).
-    line_groups: Tuple[np.ndarray, ...]
-    #: Even/odd members of every switch pair (``pair_even[t]`` and
-    #: ``pair_odd[t]`` are the two lines of pair ``t``).
-    pair_even: np.ndarray
-    pair_odd: np.ndarray
     #: ``identity[j] == j`` — the scratch index base for swap composition.
     identity: np.ndarray
 
@@ -370,17 +360,10 @@ def compiled_plan(m: int) -> CompiledPlan:
                 tail_bases=tail_bases,
             )
         )
-    line_groups = tuple(
-        np.arange(n, dtype=np.int64).reshape(1 << i, 1 << (m - i))
-        for i in range(m)
-    )
     plan = CompiledPlan(
         m=m,
         n=n,
         stages=tuple(stages),
-        line_groups=line_groups,
-        pair_even=np.arange(0, n, 2, dtype=np.int64),
-        pair_odd=np.arange(1, n, 2, dtype=np.int64),
         identity=np.arange(n, dtype=np.int64),
     )
     # The plan is cached and shared by every fabric, plane and worker of
@@ -392,10 +375,7 @@ def compiled_plan(m: int) -> CompiledPlan:
         if stage.stage_gather is not None:
             stage.stage_gather.flags.writeable = False
         stage.tail_bases.flags.writeable = False
-    for group in plan.line_groups:
-        group.flags.writeable = False
-    for array in (plan.pair_even, plan.pair_odd, plan.identity):
-        array.flags.writeable = False
+    plan.identity.flags.writeable = False
     return plan
 
 
@@ -429,19 +409,6 @@ def vector_splitter_controls(bits: np.ndarray) -> np.ndarray:
         z_down = interleaved
     flags = z_down  # shape (blocks, width): one flag per input line
     return bits[:, 0::2] ^ flags[:, 0::2]
-
-
-def vector_apply_controls(
-    blocks: np.ndarray, controls: np.ndarray
-) -> np.ndarray:
-    """Apply pairwise exchange controls to blocks of lines."""
-    out = np.empty_like(blocks)
-    even = blocks[:, 0::2]
-    odd = blocks[:, 1::2]
-    exchange = controls.astype(bool)
-    out[:, 0::2] = np.where(exchange, odd, even)
-    out[:, 1::2] = np.where(exchange, even, odd)
-    return out
 
 
 def _arbiter_take(
@@ -481,7 +448,7 @@ def _arbiter_take(
         # identity ^ control sends a line to its pair partner exactly
         # when its splitter says exchange (controls are 0/1 ints).
         swap = plan.identity ^ np.repeat(
-            controls.reshape(batch, -1), 2, axis=1
+            controls.reshape(batch, plan.n // 2), 2, axis=1
         )
         # gather is frame-independent wiring, so fancy-indexing the
         # column axis applies it to every frame at once.

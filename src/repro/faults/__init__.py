@@ -16,7 +16,6 @@ from .injector import (
     inject_stuck_control,
     random_fault_set,
     replay_controls,
-    stuck_override_set,
 )
 from .detection import (
     FaultTrial,
@@ -67,7 +66,6 @@ __all__ = [
     "inject_stuck_control",
     "random_fault_set",
     "replay_controls",
-    "stuck_override_set",
     "FaultTrial",
     "FaultCoverageReport",
     "misrouted_outputs",

@@ -5,10 +5,13 @@ value and replays — the right model for asking "what did this one
 stuck switch change, all else equal".  Physically, though, a stuck
 switch feeds *wrong data* to everything downstream, and the downstream
 arbiters compute fresh flags from what actually arrives.  This module
-implements that adaptive model:
+runs that adaptive model (:class:`~repro.core.walk.AdaptiveModel`)
+under a :class:`~repro.core.plan.FaultMask`, the fault description the
+compiled kernel takes too:
 
 * the routing loop re-decides every splitter from live data;
-* exactly one switch ignores its control (stuck at 0 or 1);
+* only the mask's stuck switches ignore their controls (stuck at 0
+  or 1), and its dead links clobber the words crossing them;
 * balance checking is off — a displaced bit can make a downstream
   block unbalanced, which is part of the physics.
 
@@ -24,14 +27,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..bits import address_bit, unshuffle_index
-from ..core.splitter import Splitter
+from ..core.plan import FaultMask
 from ..core.traffic import complete_partial_permutation
+from ..core.walk import AdaptiveModel
 from ..core.words import Word
 from .detection import misrouted_outputs
-from .injector import SwitchCoordinate
+from .injector import fault_mask_for
 
 __all__ = [
     "route_with_stuck_switch",
@@ -42,73 +45,19 @@ __all__ = [
 
 
 def route_with_stuck_switch(
-    m: int,
-    words: Sequence[Word],
-    coordinate: SwitchCoordinate,
-    stuck_value: int,
+    m: int, words: Sequence[Word], mask: FaultMask
 ) -> List[Word]:
-    """Route through a BNB network with one switch stuck, adaptively.
+    """Route one frame through a BNB network under *mask*, adaptively.
 
     Every splitter decides from the data it actually receives; only the
-    faulted switch ignores its (correctly computed) control.
+    mask's stuck switches ignore their (correctly computed) controls.
     """
-    if stuck_value not in (0, 1):
-        raise ValueError(f"stuck value must be 0 or 1, got {stuck_value!r}")
+    if mask.m != m:
+        raise ValueError(f"fault mask is for m={mask.m}, network is m={m}")
     n = 1 << m
     if len(words) != n:
         raise ValueError(f"expected {n} words, got {len(words)}")
-    splitters: Dict[int, Splitter] = {
-        p: Splitter(p, check_balance=False) for p in range(1, m + 1)
-    }
-    current: List[Word] = list(words)
-    for i in range(m):
-        block_exp = m - i
-        block = 1 << block_exp
-        for l in range(1 << i):
-            lo = l * block
-            segment = current[lo : lo + block]
-            for j in range(block_exp):
-                width = 1 << (block_exp - j)
-                splitter = splitters[block_exp - j]
-                routed: List[Word] = [None] * block  # type: ignore[list-item]
-                for box in range(1 << j):
-                    base = box * width
-                    sub = segment[base : base + width]
-                    key_bits = [
-                        address_bit(word.address, i, m) for word in sub
-                    ]
-                    controls = splitter.controls(key_bits)
-                    if (
-                        coordinate.main_stage == i
-                        and coordinate.nested == l
-                        and coordinate.nested_stage == j
-                        and coordinate.box == box
-                        and 0 <= coordinate.switch < len(controls)
-                    ):
-                        controls = list(controls)
-                        controls[coordinate.switch] = stuck_value
-                    from ..core.switchbox import apply_pair_controls
-
-                    routed[base : base + width] = apply_pair_controls(
-                        sub, controls
-                    )
-                if j < block_exp - 1:
-                    connected: List[Word] = [None] * block  # type: ignore[list-item]
-                    for offset, value in enumerate(routed):
-                        connected[
-                            unshuffle_index(offset, block_exp - j, block_exp)
-                        ] = value
-                    segment = connected
-                else:
-                    segment = routed
-            current[lo : lo + block] = segment
-        if i < m - 1:
-            k = m - i
-            reconnected: List[Word] = [None] * n  # type: ignore[list-item]
-            for j, value in enumerate(current):
-                reconnected[unshuffle_index(j, k, m)] = value
-            current = reconnected
-    return current
+    return AdaptiveModel(mask).route(words)
 
 
 @dataclasses.dataclass
@@ -124,11 +73,11 @@ class RecoveryOutcome:
 def detect_and_reroute(
     m: int,
     addresses: Sequence[int],
-    coordinate: SwitchCoordinate,
-    stuck_value: int,
+    mask: FaultMask,
     max_passes: int = 8,
 ) -> RecoveryOutcome:
-    """Deliver a permutation through a faulty fabric by repair passes.
+    """Deliver a permutation through a fabric faulty under *mask* by
+    repair passes.
 
     Pass 1 routes everything; misdelivered words (detected by the
     output-side address check) are withdrawn and re-injected as a
@@ -154,9 +103,7 @@ def detect_and_reroute(
             queue[line] if real[line] else Word(address=full[line])
             for line in range(n)
         ]
-        outputs = route_with_stuck_switch(
-            m, pass_words, coordinate, stuck_value
-        )
+        outputs = route_with_stuck_switch(m, pass_words, mask)
         bad_lines = set(misrouted_outputs(outputs))
         misrouted_history.append(len(bad_lines))
         next_pending: List[Word] = []
@@ -213,7 +160,10 @@ def recovery_experiment(
         coordinate = rng.choice(coordinates)
         stuck_value = rng.randrange(2)
         outcome = detect_and_reroute(
-            m, pi.to_list(), coordinate, stuck_value, max_passes=max_passes
+            m,
+            pi.to_list(),
+            fault_mask_for(m, [(coordinate, stuck_value)]),
+            max_passes=max_passes,
         )
         if outcome.recovered:
             recovered += 1

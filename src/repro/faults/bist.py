@@ -50,11 +50,13 @@ from .injector import (
     SwitchCoordinate,
     enumerate_switch_coordinates,
     extract_controls,
+    fault_mask_for,
 )
 
 __all__ = [
     "BISTProbe",
     "BISTSchedule",
+    "STRICT_COVERAGE_MAX_M",
     "build_bist_schedule",
     "candidate_probe_stream",
     "shared_bist_schedule",
@@ -65,6 +67,11 @@ FaultHypothesis = Tuple[SwitchCoordinate, int]
 
 #: Fixed seed for the candidate stream; part of the determinism contract.
 _CANDIDATE_SEED = 0xB157
+
+#: The largest ``m`` whose strict build closes coverage (N = 16); see
+#: :func:`build_bist_schedule`.  Resilient serving runs the strict
+#: schedule, so it is limited to the same sizes.
+STRICT_COVERAGE_MAX_M = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,10 +213,9 @@ class BISTSchedule:
         """Index of the first probe whose *adaptive* syndrome is
         non-empty under the given fault, or ``None`` if the schedule
         cannot expose it."""
+        mask = fault_mask_for(self.m, [(coordinate, stuck_value)])
         for probe in self.probes:
-            outputs = route_with_stuck_switch(
-                self.m, probe.words(), coordinate, stuck_value
-            )
+            outputs = route_with_stuck_switch(self.m, probe.words(), mask)
             if misrouted_outputs(outputs):
                 return probe.index
         return None
@@ -259,8 +265,9 @@ def build_bist_schedule(
     targets, and skippable for structural studies at large ``m``.
 
     Raises :class:`~repro.exceptions.FaultError` if *max_candidates*
-    probes cannot close the coverage.  Through ``m = 4`` that never
-    happens; from ``m = 5`` on it always does, because the nested
+    probes cannot close the coverage.  Through ``m = 4``
+    (:data:`STRICT_COVERAGE_MAX_M`) that never happens; from ``m = 5``
+    on it always does, because the nested
     networks grow control-invariant boundary switches (the first box of
     a final inner stage always steers 0, the last always 1) whose
     opposite stuck value no legal permutation can activate.  Pass
@@ -314,6 +321,7 @@ def build_bist_schedule(
         )
         if pair not in uncovered and schedule.detects(*pair) is None
     ]
+    masks = {pair: fault_mask_for(m, [pair]) for pair in undetected}
     attempts = 0
     while undetected:
         if attempts >= max_candidates:
@@ -325,15 +333,14 @@ def build_bist_schedule(
         attempts += 1
         candidate = _probe_for(network, len(probes), next(stream))
         exposed = [
-            (coordinate, value)
-            for coordinate, value in undetected
+            pair
+            for pair in undetected
             if misrouted_outputs(
-                route_with_stuck_switch(m, candidate.words(), coordinate, value)
+                route_with_stuck_switch(m, candidate.words(), masks[pair])
             )
         ]
         if exposed:
             probes.append(candidate)
-            schedule = BISTSchedule(m=m, probes=probes, inert=inert)
             undetected = [pair for pair in undetected if pair not in exposed]
     return BISTSchedule(m=m, probes=probes, inert=inert)
 
@@ -346,6 +353,13 @@ def shared_bist_schedule(m: int) -> BISTSchedule:
     is the expensive part; a multi-plane gateway would otherwise pay it
     once per resilient plane.  The schedule is treated as immutable by
     every consumer (the service layer only reads it), mirroring the
-    :func:`~repro.core.plan.compiled_plan` cache discipline.
+    :func:`~repro.core.plan.compiled_plan` cache discipline.  Above
+    :data:`STRICT_COVERAGE_MAX_M` the build cannot succeed, so it is
+    refused before the candidate search.
     """
+    if m > STRICT_COVERAGE_MAX_M:
+        raise FaultError(
+            f"a full-coverage BIST schedule exists only up to "
+            f"N = {1 << STRICT_COVERAGE_MAX_M}, got N = {1 << m}"
+        )
     return build_bist_schedule(m)

@@ -16,11 +16,9 @@ import dataclasses
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..bits import unshuffle_index
-from ..core.bnb import BNBNetwork, BNBRoutingRecord
-from ..core.pipeline import ControlOverride, stuck_control_override
+from ..core.bnb import BNBRoutingRecord
 from ..core.plan import FaultMask, build_fault_mask
-from ..core.switchbox import apply_pair_controls
+from ..core.walk import BoxControls, walk
 from ..core.words import Word
 from ..exceptions import FaultError
 
@@ -32,7 +30,7 @@ __all__ = [
     "inject_stuck_control",
     "random_fault_set",
     "replay_controls",
-    "stuck_override_set",
+    "table_controls",
 ]
 
 ControlTable = Dict[Tuple[int, int, int, int], List[int]]
@@ -56,31 +54,25 @@ class SwitchCoordinate:
 
 
 def enumerate_switch_coordinates(m: int) -> List[SwitchCoordinate]:
-    """All switch coordinates of a ``2**m``-input BNB network.
+    """All switch coordinates of a ``2**m``-input BNB network, sorted.
 
-    The count equals the per-slice switch total ``sum_i 2^i *
-    (P/2) log P`` (the paper's Eq. 3 summed over the main network) —
-    asserted in tests against ``BNBNetwork.switch_count`` divided by
-    the slice multiplicity.
+    The switches of every splitter box the wiring walk visits.  The
+    count equals the per-slice switch total ``sum_i 2^i * (P/2) log P``
+    (the paper's Eq. 3 summed over the main network) — asserted in
+    tests against ``BNBNetwork.switch_count`` divided by the slice
+    multiplicity.
     """
     coordinates: List[SwitchCoordinate] = []
-    for i in range(m):
-        block_exp = m - i
-        for l in range(1 << i):
-            for j in range(block_exp):
-                width = 1 << (block_exp - j)
-                for box in range(1 << j):
-                    for t in range(width // 2):
-                        coordinates.append(
-                            SwitchCoordinate(
-                                main_stage=i,
-                                nested=l,
-                                nested_stage=j,
-                                box=box,
-                                switch=t,
-                            )
-                        )
-    return coordinates
+
+    def controls_of(i: int, l: int, j: int, box: int, lines) -> List[int]:
+        switches = len(lines) // 2
+        coordinates.extend(
+            SwitchCoordinate(i, l, j, box, t) for t in range(switches)
+        )
+        return [0] * switches
+
+    walk(m, range(1 << m), controls_of)
+    return sorted(coordinates)
 
 
 #: One stuck-at fault as the faults layer names it.
@@ -115,38 +107,6 @@ def fault_mask_for(
         ],
         dead_links=dead_links,
     )
-
-
-def stuck_override_set(faults: Iterable[StuckFault]) -> ControlOverride:
-    """One composed object-engine override for a whole stuck fault set.
-
-    Equivalent to chaining
-    :func:`~repro.core.pipeline.stuck_control_override` per fault —
-    each stuck switch holds its value regardless of what the arbiter
-    (or an earlier fault on the same splitter) decided.  The object
-    counterpart of :func:`fault_mask_for`, so differential tests can
-    drive both engines from the same declarative fault set.
-    """
-    overrides = [
-        stuck_control_override(
-            coordinate.main_stage,
-            coordinate.nested,
-            coordinate.nested_stage,
-            coordinate.box,
-            coordinate.switch,
-            value,
-        )
-        for coordinate, value in faults
-    ]
-
-    def override(
-        i: int, l: int, j: int, b: int, controls: List[int]
-    ) -> List[int]:
-        for apply in overrides:
-            controls = apply(i, l, j, b, controls)
-        return controls
-
-    return override
 
 
 def random_fault_set(
@@ -211,6 +171,20 @@ def inject_stuck_control(
     return perturbed
 
 
+def table_controls(table: ControlTable) -> BoxControls:
+    """The walk's control source that reads a recorded *table*."""
+
+    def controls_of(i: int, l: int, j: int, box: int, _items) -> List[int]:
+        controls = table.get((i, l, j, box))
+        if controls is None:
+            raise FaultError(
+                f"control table missing splitter {(i, l, j, box)}"
+            )
+        return controls
+
+    return controls_of
+
+
 def replay_controls(
     m: int, words: Sequence[Word], table: ControlTable
 ) -> List[Word]:
@@ -223,39 +197,4 @@ def replay_controls(
     n = 1 << m
     if len(words) != n:
         raise ValueError(f"expected {n} words, got {len(words)}")
-    current: List[Word] = list(words)
-    for i in range(m):
-        block_exp = m - i
-        block = 1 << block_exp
-        for l in range(1 << i):
-            lo = l * block
-            segment = current[lo : lo + block]
-            for j in range(block_exp):
-                width = 1 << (block_exp - j)
-                routed: List[Word] = [None] * block  # type: ignore[list-item]
-                for box in range(1 << j):
-                    base = box * width
-                    key = (i, l, j, box)
-                    controls = table.get(key)
-                    if controls is None:
-                        raise FaultError(f"control table missing splitter {key}")
-                    routed[base : base + width] = apply_pair_controls(
-                        segment[base : base + width], controls
-                    )
-                if j < block_exp - 1:
-                    connected: List[Word] = [None] * block  # type: ignore[list-item]
-                    for offset, value in enumerate(routed):
-                        connected[
-                            unshuffle_index(offset, block_exp - j, block_exp)
-                        ] = value
-                    segment = connected
-                else:
-                    segment = routed
-            current[lo : lo + block] = segment
-        if i < m - 1:
-            k = m - i
-            reconnected: List[Word] = [None] * n  # type: ignore[list-item]
-            for j, value in enumerate(current):
-                reconnected[unshuffle_index(j, k, m)] = value
-            current = reconnected
-    return current
+    return walk(m, words, table_controls(table))

@@ -49,8 +49,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..bits import unshuffle_index
 from ..core.bnb import BNBNetwork
+from ..core.plan import FaultMask
+from ..core.walk import walk
 from ..core.words import Word
 from ..exceptions import FaultError, LocalizationAmbiguousError
 from .adaptive import route_with_stuck_switch
@@ -59,8 +60,10 @@ from .injector import (
     SwitchCoordinate,
     enumerate_switch_coordinates,
     extract_controls,
+    fault_mask_for,
     inject_stuck_control,
     replay_controls,
+    table_controls,
 )
 
 __all__ = [
@@ -166,55 +169,23 @@ def trace_switch_paths(
 ) -> List[Set[SwitchCoordinate]]:
     """Switches traversed by each input line under *table*.
 
-    Replays input indices through the control table (the same walk as
-    :func:`~repro.faults.injector.replay_controls`) and records, for
-    every input line, the set of switch coordinates whose 2 x 2 box the
-    word passes through.
+    Walks input line numbers through the control table (as
+    :func:`~repro.faults.injector.replay_controls` walks words) and
+    records, for every input line, the set of switch coordinates whose
+    2 x 2 box the word passes through.
     """
-    n = 1 << m
-    current: List[int] = list(range(n))
-    paths: List[Set[SwitchCoordinate]] = [set() for _ in range(n)]
-    for i in range(m):
-        block_exp = m - i
-        block = 1 << block_exp
-        for l in range(1 << i):
-            lo = l * block
-            segment = current[lo : lo + block]
-            for j in range(block_exp):
-                width = 1 << (block_exp - j)
-                routed: List[int] = [None] * block  # type: ignore[list-item]
-                for box in range(1 << j):
-                    base = box * width
-                    key = (i, l, j, box)
-                    controls = table.get(key)
-                    if controls is None:
-                        raise FaultError(f"control table missing splitter {key}")
-                    sub = segment[base : base + width]
-                    for t, control in enumerate(controls):
-                        upper, lower = sub[2 * t], sub[2 * t + 1]
-                        coordinate = SwitchCoordinate(i, l, j, box, t)
-                        paths[upper].add(coordinate)
-                        paths[lower].add(coordinate)
-                        if control:
-                            upper, lower = lower, upper
-                        routed[base + 2 * t] = upper
-                        routed[base + 2 * t + 1] = lower
-                if j < block_exp - 1:
-                    connected: List[int] = [None] * block  # type: ignore[list-item]
-                    for offset, value in enumerate(routed):
-                        connected[
-                            unshuffle_index(offset, block_exp - j, block_exp)
-                        ] = value
-                    segment = connected
-                else:
-                    segment = routed
-            current[lo : lo + block] = segment
-        if i < m - 1:
-            k = m - i
-            reconnected: List[int] = [None] * n  # type: ignore[list-item]
-            for j, value in enumerate(current):
-                reconnected[unshuffle_index(j, k, m)] = value
-            current = reconnected
+    paths: List[Set[SwitchCoordinate]] = [set() for _ in range(1 << m)]
+    recorded = table_controls(table)
+
+    def controls_of(i: int, l: int, j: int, box: int, lines: List[int]):
+        controls = recorded(i, l, j, box, lines)
+        for t in range(len(controls)):
+            coordinate = SwitchCoordinate(i, l, j, box, t)
+            paths[lines[2 * t]].add(coordinate)
+            paths[lines[2 * t + 1]].add(coordinate)
+        return controls
+
+    walk(m, range(1 << m), controls_of)
     return paths
 
 
@@ -293,18 +264,17 @@ def _simulate(
     m: int,
     addresses: Sequence[int],
     hypothesis: FaultHypothesis,
-    model: str,
+    mask: Optional[FaultMask],
     table: Optional[ControlTable],
 ) -> Tuple[int, ...]:
-    coordinate, value = hypothesis
+    """What *addresses* arrive as under *hypothesis*: adaptively under
+    its *mask*, or (``mask=None``) frozen on the healthy *table*."""
     words = [Word(address=a, payload=j) for j, a in enumerate(addresses)]
-    if model == "adaptive":
-        outputs = route_with_stuck_switch(m, words, coordinate, value)
+    if mask is not None:
+        outputs = route_with_stuck_switch(m, words, mask)
     else:
-        if table is None:
-            table = _healthy_table(m, addresses)
         outputs = replay_controls(
-            m, words, inject_stuck_control(table, coordinate, value)
+            m, words, inject_stuck_control(table, *hypothesis)
         )
     return tuple(word.address for word in outputs)
 
@@ -401,13 +371,14 @@ def localize(
     # Step 2: forward-filter against every observation.
     survivors: List[FaultHypothesis] = []
     for hypothesis in hypotheses:
+        mask = fault_mask_for(m, [hypothesis]) if model == "adaptive" else None
         consistent = True
         for index, observation in enumerate(observations):
             arrived = _simulate(
                 m,
                 observation.addresses,
                 hypothesis,
-                model,
+                mask,
                 healthy(index) if model == "frozen" else None,
             )
             if arrived != observation.arrived:

@@ -37,6 +37,7 @@ from ..backends import (
     prewarm,
     select_backend,
 )
+from ..faults.bist import STRICT_COVERAGE_MAX_M
 from ..service import FaultPolicy
 from .planes import BackendPlane, CompletedFrame
 from .scheduler import FrameScheduler
@@ -118,7 +119,8 @@ class GatewayConfig:
     #: :class:`~repro.service.FaultPolicy` (masked fault kernels,
     #: batched BIST, ``krbenes`` failover); valid exactly for the
     #: engines whose backend supports fault masks
-    #: (:func:`resilient_engines`: ``"vector"``, ``"batch"``, ``"bnb"``).
+    #: (:func:`resilient_engines`: ``"vector"``, ``"batch"``, ``"bnb"``),
+    #: and at ``N <= 16`` (:data:`~repro.faults.bist.STRICT_COVERAGE_MAX_M`).
     engine: str = "object"
     #: Frames a windowed plane routes per cycle in one batched call.
     batch_window: int = 32
@@ -162,6 +164,12 @@ class GatewayConfig:
                 f"the {self.engine!r} engine has no resilient variant; "
                 f"resilient=True needs an engine whose backend supports "
                 f"fault masks: {resilient_engines()}"
+            )
+        if self.resilient and self.m > STRICT_COVERAGE_MAX_M:
+            raise ValueError(
+                f"resilient serving needs N <= {1 << STRICT_COVERAGE_MAX_M} "
+                f"(its BIST schedule cannot cover every switch above), "
+                f"got N={1 << self.m}"
             )
         if self.batch_window < 1:
             raise ValueError(

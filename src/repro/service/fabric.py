@@ -3,7 +3,8 @@
 :class:`ResilientFabric` turns the repo's offline fault *experiments*
 into an online fault *service*.  It wraps a
 :class:`~repro.core.pipeline.PipelinedBNBFabric` (the primary,
-self-routing plane) and drives the full lifecycle:
+self-routing plane, faulty under a
+:class:`~repro.core.plan.FaultMask`) and drives the full lifecycle:
 
 * **verify** — every batch's outputs are address-checked on exit;
 * **retry** — misdelivered words are withdrawn and re-injected as a
@@ -42,12 +43,12 @@ import dataclasses
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..baselines.benes import BenesNetwork
-from ..core.pipeline import PipelinedBNBFabric, stuck_control_override
+from ..core.pipeline import PipelinedBNBFabric
+from ..core.plan import FaultMask
 from ..core.traffic import complete_partial_permutation
 from ..core.words import Word
 from ..exceptions import QuarantineExhaustedError, RetryBudgetExceededError
 from ..faults.bist import BISTSchedule, shared_bist_schedule
-from ..faults.injector import SwitchCoordinate
 from ..faults.localization import LocalizationResult, localize
 from .registry import (
     FaultEvent,
@@ -89,12 +90,12 @@ class ResilientFabric:
     ----------
     m:
         Address width; the fabric serves ``N = 2**m`` lines.
-    pipeline:
-        The primary plane.  Defaults to a healthy
-        :class:`~repro.core.pipeline.PipelinedBNBFabric`; tests pass
-        one built with
-        :func:`~repro.core.pipeline.stuck_control_override` to model a
-        physical fault.
+    mask:
+        The primary plane's physical faults, as
+        :func:`~repro.faults.injector.fault_mask_for` or
+        :func:`~repro.core.plan.build_fault_mask` build them, the same
+        description :class:`~repro.service.policy.FaultPolicy` takes;
+        ``None`` (the default) for a healthy primary.
     spare:
         The failover plane — any object with a Benes-style
         ``route(words) -> (outputs, trace)`` method, or ``None`` for a
@@ -119,7 +120,7 @@ class ResilientFabric:
     def __init__(
         self,
         m: int,
-        pipeline: Optional[PipelinedBNBFabric] = None,
+        mask: Optional[FaultMask] = None,
         spare: Optional[Any] = "benes",
         schedule: Optional[BISTSchedule] = None,
         retry_budget: int = 4,
@@ -132,11 +133,7 @@ class ResilientFabric:
             raise ValueError(f"retry budget must be >= 0, got {retry_budget}")
         self.m = m
         self.n = 1 << m
-        self.pipeline = pipeline if pipeline is not None else PipelinedBNBFabric(m)
-        if self.pipeline.m != m:
-            raise ValueError(
-                f"pipeline is m={self.pipeline.m}, service is m={m}"
-            )
+        self.pipeline = PipelinedBNBFabric(m, mask=mask)
         self.spare = BenesNetwork(m) if spare == "benes" else spare
         self.schedule = (
             schedule if schedule is not None else shared_bist_schedule(m)
@@ -366,37 +363,6 @@ class ResilientFabric:
                     f"{word.address} onto line {line}"
                 )
         return list(outputs)
-
-    def inject_stuck_control(
-        self, coordinate: SwitchCoordinate, value: int
-    ) -> None:
-        """Model a physical stuck-at fault appearing on the live primary.
-
-        The operator-facing injection path (the ``inject`` protocol op
-        and the faults CLI's ``--connect`` mode land here): the fault
-        accumulates on top of anything already wrong with the plane,
-        and batches in flight feel it from their next stage onward.
-        Detection, diagnosis and quarantine then proceed through the
-        normal traffic-triggered lifecycle.
-        """
-        self.pipeline.install_control_override(
-            stuck_control_override(
-                coordinate.main_stage,
-                coordinate.nested,
-                coordinate.nested_stage,
-                coordinate.box,
-                coordinate.switch,
-                value,
-            ),
-            compose=True,
-        )
-        self.registry.emit(
-            "injection", None,
-            f"stuck-{value} control injected at "
-            f"({coordinate.main_stage},{coordinate.nested},"
-            f"{coordinate.nested_stage},{coordinate.box},{coordinate.switch})",
-            value=value,
-        )
 
     def _run_bist(self, tag: Any):
         self.counters.bist_runs += 1

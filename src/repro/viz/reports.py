@@ -43,10 +43,11 @@ def fault_tolerance_report(m: int = 3, seed: int = 0) -> str:
     network (keep ``m`` small: the sweep simulates every fault against
     every probe).
     """
-    from ..core.pipeline import PipelinedBNBFabric, stuck_control_override
+    from ..core.pipeline import PipelinedBNBFabric
     from ..faults import (
         build_bist_schedule,
         enumerate_switch_coordinates,
+        fault_mask_for,
         localize,
     )
     from ..permutations.generators import random_permutation
@@ -71,15 +72,7 @@ def fault_tolerance_report(m: int = 3, seed: int = 0) -> str:
     for coordinate in coordinates:
         for value in (0, 1):
             pipeline = PipelinedBNBFabric(
-                m,
-                control_override=stuck_control_override(
-                    coordinate.main_stage,
-                    coordinate.nested,
-                    coordinate.nested_stage,
-                    coordinate.box,
-                    coordinate.switch,
-                    value,
-                ),
+                m, mask=fault_mask_for(m, [(coordinate, value)])
             )
             observations = schedule.run(
                 lambda words: pipeline.route_batch(words)
@@ -127,18 +120,9 @@ def fault_tolerance_report(m: int = 3, seed: int = 0) -> str:
 
     # Service demo: detect on live traffic, fail over, keep serving.
     demo_coordinate = coordinates[len(coordinates) // 2]
-    pipeline = PipelinedBNBFabric(
-        m,
-        control_override=stuck_control_override(
-            demo_coordinate.main_stage,
-            demo_coordinate.nested,
-            demo_coordinate.nested_stage,
-            demo_coordinate.box,
-            demo_coordinate.switch,
-            1,
-        ),
+    fabric = ResilientFabric(
+        m, mask=fault_mask_for(m, [(demo_coordinate, 1)]), schedule=schedule
     )
-    fabric = ResilientFabric(m, pipeline=pipeline, schedule=schedule)
     for index in range(4):
         fabric.submit(
             random_permutation(n, rng=seed + index).to_list(),

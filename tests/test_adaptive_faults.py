@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import BNBNetwork, Word
-from repro.faults import SwitchCoordinate, misrouted_outputs
+from repro.core import BNBNetwork, Word, build_fault_mask
+from repro.exceptions import FaultError
+from repro.faults import SwitchCoordinate, fault_mask_for, misrouted_outputs
 from repro.faults.adaptive import (
     detect_and_reroute,
     recovery_experiment,
@@ -19,12 +20,11 @@ def words_for(m, seed):
 
 class TestAdaptiveRouting:
     def test_no_fault_equals_reference(self):
-        """With an out-of-range switch index the override never fires,
-        so the adaptive router must agree with BNBNetwork exactly."""
+        """Under a mask with no faults nothing is forced, so the
+        adaptive router must agree with BNBNetwork exactly."""
         m = 3
         pi, words = words_for(m, 1)
-        phantom = SwitchCoordinate(0, 0, 0, 0, 99)
-        outputs = route_with_stuck_switch(m, words, phantom, 0)
+        outputs = route_with_stuck_switch(m, words, build_fault_mask(m))
         reference, _ = BNBNetwork(m).route(words)
         assert [w.address for w in outputs] == [w.address for w in reference]
 
@@ -40,7 +40,9 @@ class TestAdaptiveRouting:
         for seed in range(trials):
             _pi, words = words_for(m, seed)
             for value in (0, 1):
-                outputs = route_with_stuck_switch(m, words, coordinate, value)
+                outputs = route_with_stuck_switch(
+                    m, words, fault_mask_for(m, [(coordinate, value)])
+                )
                 if not misrouted_outputs(outputs):
                     masked += 1
         assert masked > trials  # more than half of (trial, value) pairs
@@ -57,11 +59,11 @@ class TestAdaptiveRouting:
         activated = 0
         for seed in range(30):
             _pi, words = words_for(m, seed)
-            healthy = route_with_stuck_switch(
-                m, words, SwitchCoordinate(0, 0, 0, 0, 99), 0
-            )
+            healthy = route_with_stuck_switch(m, words, build_fault_mask(m))
             for value in (0, 1):
-                outputs = route_with_stuck_switch(m, words, coordinate, value)
+                outputs = route_with_stuck_switch(
+                    m, words, fault_mask_for(m, [(coordinate, value)])
+                )
                 bad = misrouted_outputs(outputs)
                 if bad:
                     activated_and_bad += 1
@@ -81,7 +83,9 @@ class TestAdaptiveRouting:
             _pi, words = words_for(m, seed)
             for stage, nested, nstage in ((0, 0, 1), (1, 0, 0), (1, 1, 1)):
                 coordinate = SwitchCoordinate(stage, nested, nstage, 0, 0)
-                outputs = route_with_stuck_switch(m, words, coordinate, 1)
+                outputs = route_with_stuck_switch(
+                    m, words, fault_mask_for(m, [(coordinate, 1)])
+                )
                 bad = misrouted_outputs(outputs)
                 counts.add(len(bad))
                 # Cascades can spread widely but never corrupt every
@@ -94,20 +98,20 @@ class TestAdaptiveRouting:
     def test_value_validation(self):
         m = 2
         _pi, words = words_for(m, 0)
+        with pytest.raises(FaultError):
+            fault_mask_for(m, [(SwitchCoordinate(0, 0, 0, 0, 0), 2)])
         with pytest.raises(ValueError):
-            route_with_stuck_switch(m, words, SwitchCoordinate(0, 0, 0, 0, 0), 2)
+            route_with_stuck_switch(m, words[:2], build_fault_mask(m))
         with pytest.raises(ValueError):
-            route_with_stuck_switch(m, words[:2], SwitchCoordinate(0, 0, 0, 0, 0), 1)
+            route_with_stuck_switch(m, words, build_fault_mask(m + 1))
 
 
 class TestRecovery:
     def test_benign_fault_one_pass(self):
         m = 3
         pi = random_permutation(8, rng=3)
-        # A phantom fault: recovery must complete in a single pass.
-        outcome = detect_and_reroute(
-            m, pi.to_list(), SwitchCoordinate(0, 0, 0, 0, 99), 0
-        )
+        # No fault: recovery must complete in a single pass.
+        outcome = detect_and_reroute(m, pi.to_list(), build_fault_mask(m))
         assert outcome.recovered
         assert outcome.passes == 1
         assert outcome.misrouted_per_pass == [0]
@@ -116,7 +120,9 @@ class TestRecovery:
         m = 3
         pi = random_permutation(8, rng=9)
         coordinate = SwitchCoordinate(2, 1, 0, 0, 0)
-        outcome = detect_and_reroute(m, pi.to_list(), coordinate, 1)
+        outcome = detect_and_reroute(
+            m, pi.to_list(), fault_mask_for(m, [(coordinate, 1)])
+        )
         if outcome.recovered:
             for line, word in enumerate(outcome.outputs):
                 assert word is not None
@@ -139,7 +145,10 @@ class TestRecovery:
                 coordinate = SwitchCoordinate(2, nested, 0, 0, 0)
                 for value in (0, 1):
                     outcome = detect_and_reroute(
-                        m, pi.to_list(), coordinate, value, max_passes=3
+                        m,
+                        pi.to_list(),
+                        fault_mask_for(m, [(coordinate, value)]),
+                        max_passes=3,
                     )
                     if not outcome.recovered:
                         found_failure = True

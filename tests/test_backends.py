@@ -51,16 +51,12 @@ class TestRegistry:
             "krbenes": False,
             "msorter": False,
         }
-        # Reserved until a partial-capable engine registers.
-        assert not any(spec.supports_partial for spec in backend_specs())
 
     def test_describe_shape(self):
         info = get_backend_spec("bnb").describe()
         assert info["name"] == "bnb"
         assert info["supports_fault_mask"] is True
-        assert set(info) == {
-            "name", "summary", "supports_fault_mask", "supports_partial",
-        }
+        assert set(info) == {"name", "summary", "supports_fault_mask"}
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -113,6 +109,18 @@ class TestProtocolConformance:
         assert sources.dtype == np.int64
         stacked = engine.route_frame_batch(np.stack([frame, frame[::-1]]))
         assert stacked.shape == (2, 4)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("name", backend_names())
+    def test_empty_batch_routes_to_empty(self, name, m):
+        """A batch of no frames comes back as no frames, not as an
+        error from inside numpy."""
+        n = 1 << m
+        sources = compiled_backend(name, m).route_frame_batch(
+            np.empty((0, n), dtype=np.int64)
+        )
+        assert sources.shape == (0, n)
+        assert sources.dtype == np.int64
 
 
 class TestExhaustiveDelivery:

@@ -122,6 +122,12 @@ class TestRelaxedCoverage:
         with pytest.raises(FaultError, match="coverage incomplete"):
             build_bist_schedule(5, ensure_detection=False, max_candidates=64)
 
+    def test_shared_schedule_refuses_m5_before_searching(self):
+        from repro.faults import shared_bist_schedule
+
+        with pytest.raises(FaultError, match="only up to N = 16"):
+            shared_bist_schedule(5)
+
     def test_small_m_builds_have_no_inert_pairs(self):
         for m in (2, 3):
             assert build_bist_schedule(m, ensure_detection=False).inert == ()
@@ -158,13 +164,14 @@ class TestRelaxedCoverage:
         )
         assert schedule.inert
         from repro.core import Word
-        from repro.faults import route_with_stuck_switch
+        from repro.faults import fault_mask_for, route_with_stuck_switch
 
         for coordinate, value in schedule.inert:
+            mask = fault_mask_for(5, [(coordinate, value)])
             for seed in range(5):
                 pi = random_permutation(32, rng=seed)
                 words = [
                     Word(address=pi(j), payload=j) for j in range(32)
                 ]
-                outputs = route_with_stuck_switch(5, words, coordinate, value)
+                outputs = route_with_stuck_switch(5, words, mask)
                 assert [w.address for w in outputs] == list(range(32))

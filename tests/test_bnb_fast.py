@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import BNBNetwork
-from repro.core.bnb import _vector_splitter_controls
+from repro.core.plan import vector_splitter_controls
 from repro.core.splitter import Splitter
 from repro.exceptions import NotAPermutationError
 from repro.permutations import random_permutation
@@ -20,7 +20,7 @@ class TestVectorSplitter:
         width = 1 << p
         splitter = Splitter(p, check_balance=False)
         blocks = rng.integers(0, 2, size=(40, width))
-        controls = _vector_splitter_controls(blocks)
+        controls = vector_splitter_controls(blocks)
         for row in range(blocks.shape[0]):
             expected = splitter.controls(blocks[row].tolist())
             assert controls[row].tolist() == expected, blocks[row]

@@ -182,61 +182,32 @@ def faulted_frame_schedules(draw):
 @settings(max_examples=40, deadline=None)
 @given(faulted_frame_schedules())
 def test_faulty_vector_pipeline_matches_faulty_object_pipeline(case):
-    """A fault set rendered as a FaultMask on ``route_frame_batch`` and
-    as composed object-model control overrides must corrupt
-    identically, frame by frame, partial frames included."""
+    """One fault set, as one FaultMask, on ``route_frame_batch`` and on
+    the object pipeline must corrupt identically, frame by frame,
+    partial frames included."""
     from repro.core.pipeline import PipelinedBNBFabric
-    from repro.faults import fault_mask_for, stuck_override_set
+    from repro.faults import fault_mask_for
 
     m, faults, schedule = case
-    assert _kernel_deliveries(
-        m, schedule, mask=fault_mask_for(m, faults)
-    ) == _object_deliveries(
-        PipelinedBNBFabric(m, control_override=stuck_override_set(faults)),
-        schedule,
+    mask = fault_mask_for(m, faults)
+    assert _kernel_deliveries(m, schedule, mask=mask) == _object_deliveries(
+        PipelinedBNBFabric(m, mask=mask), schedule
     )
 
 
-def _dead_link_fabric(m, faults, dead_links):
-    """The faulty object pipeline, with dead links.
-
-    The object model has no dead-link fault of its own, so this rig
-    adds one: a word entering main stage ``i`` on a dead line routes
-    from there on with address ``-1`` (every address bit reads 1, as
-    :data:`~repro.core.plan.DEAD_ADDRESS` does in the kernel), payload
-    kept.  The stuck override is always installed, so every splitter
-    decides without a balance check, as a faulty fabric must.
-    """
-    from repro.core.pipeline import PipelinedBNBFabric
-    from repro.faults import stuck_override_set
-
-    dead = {}
-    for stage, line in dead_links:
-        dead.setdefault(stage, set()).add(line)
-
-    class DeadLinkFabric(PipelinedBNBFabric):
-        def _route_stage(self, stage, words):
-            lines = dead.get(stage, ())
-            words = [
-                Word(address=-1, payload=word.payload)
-                if line in lines
-                else word
-                for line, word in enumerate(words)
-            ]
-            return super()._route_stage(stage, words)
-
-    return DeadLinkFabric(m, control_override=stuck_override_set(faults))
-
-
 def _source_lines(m, schedule, faults, dead_links):
-    """Each frame's output order as source lines, on the kernel under a
-    :class:`~repro.core.plan.FaultMask` and on the object rig."""
+    """Each frame's output order as source lines, on the kernel and on
+    the object pipeline under one :class:`~repro.core.plan.FaultMask`
+    (a word entering main stage ``i`` on a dead line continues with
+    address -1 there, payload kept)."""
+    from repro.core.pipeline import PipelinedBNBFabric
     from repro.core.pipeline_fast import route_frame_batch
     from repro.core.traffic import complete_partial_permutation
     from repro.faults import fault_mask_for
 
+    mask = fault_mask_for(m, faults, dead_links=dead_links)
     frames = []
-    fabric = _dead_link_fabric(m, faults, dead_links)
+    fabric = PipelinedBNBFabric(m, mask=mask)
     delivered = []
     for tag, requests in enumerate(schedule):
         if requests is not None:
@@ -251,7 +222,6 @@ def _source_lines(m, schedule, faults, dead_links):
     obj = [[word.payload for word in outputs] for _tag, outputs in delivered]
     if not frames:
         return [], obj
-    mask = fault_mask_for(m, faults, dead_links=dead_links)
     return route_frame_batch(m, np.array(frames), mask=mask).tolist(), obj
 
 
@@ -348,21 +318,16 @@ def test_faulty_resilient_services_agree(case):
     fault set and fed the same (partial) frames must agree on every
     frame's mode and retry count, the BIST syndromes, every counter,
     the health state and the confirmed hypothesis class."""
-    from repro.core.pipeline import PipelinedBNBFabric
     from repro.core.traffic import complete_partial_permutation
     from repro.exceptions import FaultServiceError
-    from repro.faults import fault_mask_for, stuck_override_set
+    from repro.faults import fault_mask_for
     from repro.service import FaultPolicy, ResilientFabric
 
     m, faults, schedule = case
     n = 1 << m
-    obj = ResilientFabric(
-        m,
-        pipeline=PipelinedBNBFabric(
-            m, control_override=stuck_override_set(faults)
-        ),
-    )
-    policy = FaultPolicy(m, mask=fault_mask_for(m, faults))
+    mask = fault_mask_for(m, faults)
+    obj = ResilientFabric(m, mask=mask)
+    policy = FaultPolicy(m, mask=mask)
     syndromes = {"obj": [], "policy": []}
     obj.probe_hook = lambda probe, obs: syndromes["obj"].append(obs.syndrome)
     policy.probe_hook = lambda probe, obs: syndromes["policy"].append(

@@ -16,6 +16,7 @@ from repro.faults import (
     SwitchCoordinate,
     detect_and_reroute,
     extract_controls,
+    fault_mask_for,
     inject_stuck_control,
     misrouted_outputs,
     replay_controls,
@@ -58,7 +59,9 @@ def test_the_whole_story():
         m, words, inject_stuck_control(table, coordinate, 1 - healthy)
     )
     assert len(misrouted_outputs(faulty)) == 2
-    outcome = detect_and_reroute(m, pi.to_list(), coordinate, 1 - healthy)
+    outcome = detect_and_reroute(
+        m, pi.to_list(), fault_mask_for(m, [(coordinate, 1 - healthy)])
+    )
     if outcome.recovered:
         assert all(
             word is not None and word.address == line

@@ -14,6 +14,7 @@ from repro.core import BNBNetwork, Word
 from repro.faults import (
     enumerate_switch_coordinates,
     extract_controls,
+    fault_mask_for,
     inject_stuck_control,
     misrouted_outputs,
     replay_controls,
@@ -83,9 +84,10 @@ def test_adaptive_cascade_is_contained(m, coordinate, value):
     and every word still carries its own address (detection-complete:
     the output-side check sees exactly the displaced words)."""
     n = 1 << m
+    mask = fault_mask_for(m, [(coordinate, value)])
     for seed in SEEDS:
         words = words_for(m, seed)
-        outputs = route_with_stuck_switch(m, words, coordinate, value)
+        outputs = route_with_stuck_switch(m, words, mask)
         assert len(outputs) == n
         assert sorted(word.address for word in outputs) == list(range(n))
         blast = len(misrouted_outputs(outputs))
@@ -98,10 +100,9 @@ def test_cascades_exceed_the_frozen_pair(m):
     on the fixed seed set — the docstring's 'cascade' claim is real."""
     worst = 0
     for coordinate, value in fault_cases(m):
+        mask = fault_mask_for(m, [(coordinate, value)])
         for seed in SEEDS:
-            outputs = route_with_stuck_switch(
-                m, words_for(m, seed), coordinate, value
-            )
+            outputs = route_with_stuck_switch(m, words_for(m, seed), mask)
             worst = max(worst, len(misrouted_outputs(outputs)))
     assert worst > 2
     assert worst == CASCADE_BOUND[m]  # pin the exact observed worst case
@@ -118,11 +119,10 @@ def test_random_seeds_can_mask_but_bist_cannot(m):
     schedule = build_bist_schedule(m)
     masked_on_seeds = 0
     for coordinate, value in fault_cases(m):
+        mask = fault_mask_for(m, [(coordinate, value)])
         visible = any(
             misrouted_outputs(
-                route_with_stuck_switch(
-                    m, words_for(m, seed), coordinate, value
-                )
+                route_with_stuck_switch(m, words_for(m, seed), mask)
             )
             for seed in SEEDS
         )
@@ -192,18 +192,11 @@ def test_vector_resilient_sweep_m3(coordinate, value):
     ``ServiceCounters`` field, the health state and the confirmed
     class — which contains the true fault once the primary is
     quarantined, after which the spare keeps delivering."""
-    from repro.core.pipeline import PipelinedBNBFabric
-    from repro.faults import fault_mask_for, stuck_override_set
     from repro.service import FaultPolicy, HealthState, ResilientFabric
 
-    fault = [(coordinate, value)]
-    policy = FaultPolicy(3, mask=fault_mask_for(3, fault))
-    oracle = ResilientFabric(
-        3,
-        pipeline=PipelinedBNBFabric(
-            3, control_override=stuck_override_set(fault)
-        ),
-    )
+    mask = fault_mask_for(3, [(coordinate, value)])
+    policy = FaultPolicy(3, mask=mask)
+    oracle = ResilientFabric(3, mask=mask)
     syndromes = {"policy": [], "oracle": []}
     policy.probe_hook = lambda p, o: syndromes["policy"].append(o.syndrome)
     oracle.probe_hook = lambda p, o: syndromes["oracle"].append(o.syndrome)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import BNBNetwork, Word
-from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
+from repro.core.pipeline import PipelinedBNBFabric
 from repro.exceptions import FaultError, LocalizationAmbiguousError
 from repro.faults import (
     ProbeObservation,
@@ -12,6 +12,7 @@ from repro.faults import (
     candidate_switches,
     enumerate_switch_coordinates,
     extract_controls,
+    fault_mask_for,
     inject_stuck_control,
     localize,
     replay_controls,
@@ -29,15 +30,7 @@ def schedule3():
 def faulty_observations(schedule, coordinate, value):
     """Run the schedule against an adaptively-faulty fabric."""
     pipeline = PipelinedBNBFabric(
-        schedule.m,
-        control_override=stuck_control_override(
-            coordinate.main_stage,
-            coordinate.nested,
-            coordinate.nested_stage,
-            coordinate.box,
-            coordinate.switch,
-            value,
-        ),
+        schedule.m, mask=fault_mask_for(schedule.m, [(coordinate, value)])
     )
     return schedule.run(lambda words: pipeline.route_batch(words))
 
@@ -170,7 +163,9 @@ class TestAdaptiveLocalization:
                         arrived=tuple(
                             w.address
                             for w in route_with_stuck_switch(
-                                2, probe.words(), coordinate, value
+                                2,
+                                probe.words(),
+                                fault_mask_for(2, [(coordinate, value)]),
                             )
                         ),
                     )

@@ -9,7 +9,6 @@ from repro.core.plan import (
     batch_stage_take_indices,
     bit_sorter_table,
     tree_stage_take_indices,
-    vector_apply_controls,
     vector_splitter_controls,
 )
 from repro.core.splitter import Splitter
@@ -50,14 +49,6 @@ class TestPlanCache:
             if stage.stage_gather is not None:
                 assert np.array_equal(np.sort(stage.stage_gather), identity)
 
-    def test_line_groups_partition_lines(self):
-        plan = compiled_plan(4)
-        for stage, groups in enumerate(plan.line_groups):
-            flat = sorted(
-                line for group in groups for line in group.tolist()
-            )
-            assert flat == list(range(plan.n)), stage
-
     def test_tables_are_immutable(self):
         plan = compiled_plan(3)
         with pytest.raises(ValueError):
@@ -76,11 +67,6 @@ class TestVectorKernels:
                 controls[row].tolist()
                 == splitter.controls(blocks[row].tolist())
             )
-
-    def test_apply_controls_swaps_exactly_the_set_pairs(self):
-        lines = np.array([[10, 11, 12, 13]])
-        out = vector_apply_controls(lines, np.array([[1, 0]]))
-        assert out.tolist() == [[11, 10, 12, 13]]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_stage_take_composition_equals_route(self, m):

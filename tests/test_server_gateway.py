@@ -9,13 +9,12 @@ import random
 
 import pytest
 
-from repro.core.pipeline import PipelinedBNBFabric
 from repro.exceptions import (
     AdmissionRejectedError,
     GatewayClosedError,
     InputError,
 )
-from repro.faults import SwitchCoordinate, fault_mask_for, stuck_override_set
+from repro.faults import SwitchCoordinate, fault_mask_for
 from repro.server import AsyncGateway, BackendPlane, GatewayConfig
 from repro.service import FaultPolicy, ResilientFabric
 
@@ -70,6 +69,14 @@ class TestBasics:
             assert GatewayConfig(m=3, resilient=True, engine=engine).resilient
         with pytest.raises(ValueError, match="no resilient variant"):
             GatewayConfig(m=3, resilient=True, engine="object")
+
+    def test_resilient_config_refuses_sizes_above_16(self):
+        """The fault policy's strict BIST schedule exists only up to
+        N = 16, so a larger resilient gateway is refused at once, not
+        after seconds of schedule search."""
+        assert GatewayConfig(m=4, resilient=True, engine="batch").resilient
+        with pytest.raises(ValueError, match="N <= 16"):
+            GatewayConfig(m=5, resilient=True, engine="batch")
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 1000])
     def test_quantiles_follow_the_percentile_rule(self, length):
@@ -424,12 +431,7 @@ class TestPlaneFailure:
         # the primary and rode the Benes spare instead.
         assert stats["planes"][0]["healthy"] is True
         assert stats["planes"][0]["service_state"] == "quarantined"
-        oracle = ResilientFabric(
-            3,
-            pipeline=PipelinedBNBFabric(
-                3, control_override=stuck_override_set(fault)
-            ),
-        )
+        oracle = ResilientFabric(3, mask=fault_mask_for(3, fault))
         oracle.check()
         assert sorted(planes[0].policy.registry.confirmed_faults) == sorted(
             oracle.registry.confirmed_faults

@@ -8,7 +8,8 @@ of the words within its retry budget — degraded or failed over.
 
 import pytest
 
-from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
+from repro.core.pipeline import PipelinedBNBFabric
+from repro.core.plan import build_fault_mask
 from repro.exceptions import (
     FaultServiceError,
     LocalizationAmbiguousError,
@@ -20,6 +21,7 @@ from repro.faults import (
     SwitchCoordinate,
     build_bist_schedule,
     enumerate_switch_coordinates,
+    fault_mask_for,
     localize,
 )
 from repro.permutations import random_permutation
@@ -42,18 +44,8 @@ def schedule():
     return build_bist_schedule(M)
 
 
-def faulty_pipeline(coordinate, value, m=M):
-    return PipelinedBNBFabric(
-        m,
-        control_override=stuck_control_override(
-            coordinate.main_stage,
-            coordinate.nested,
-            coordinate.nested_stage,
-            coordinate.box,
-            coordinate.switch,
-            value,
-        ),
-    )
+def faulty_mask(coordinate, value, m=M):
+    return fault_mask_for(m, [(coordinate, value)])
 
 
 def assert_full_delivery(result, tag, n=N):
@@ -82,7 +74,7 @@ ALL_FAULTS = [
 def test_every_single_fault_is_survived(schedule, coordinate, value):
     """The ISSUE acceptance sweep, one fault per test case."""
     fabric = ResilientFabric(
-        M, pipeline=faulty_pipeline(coordinate, value), schedule=schedule
+        M, mask=faulty_mask(coordinate, value), schedule=schedule
     )
     # 1. Live traffic: the batch is fully delivered whatever the mode.
     pi = random_permutation(N, rng=BATCH_SEED)
@@ -145,7 +137,7 @@ class TestDegradedAndExhausted:
     def test_spareless_degraded_delivery(self, schedule):
         fabric = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(self.DEGRADED, 0),
+            mask=faulty_mask(self.DEGRADED, 0),
             spare=None,
             schedule=schedule,
         )
@@ -163,7 +155,7 @@ class TestDegradedAndExhausted:
     def test_spareless_retry_budget_exhausted(self, schedule):
         fabric = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(self.STUBBORN, 0),
+            mask=faulty_mask(self.STUBBORN, 0),
             spare=None,
             schedule=schedule,
         )
@@ -175,7 +167,7 @@ class TestDegradedAndExhausted:
     def test_backoff_is_exponential(self, schedule):
         fabric = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(self.STUBBORN, 0),
+            mask=faulty_mask(self.STUBBORN, 0),
             spare=None,
             schedule=schedule,
             backoff_base=2,
@@ -192,7 +184,7 @@ class TestDegradedAndExhausted:
 
         fabric = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(self.STUBBORN, 0),
+            mask=faulty_mask(self.STUBBORN, 0),
             spare=BrokenSpare(),
             schedule=schedule,
         )
@@ -201,7 +193,7 @@ class TestDegradedAndExhausted:
 
     def test_check_after_quarantine_raises(self, schedule):
         fabric = ResilientFabric(
-            M, pipeline=faulty_pipeline(self.STUBBORN, 0), schedule=schedule
+            M, mask=faulty_mask(self.STUBBORN, 0), schedule=schedule
         )
         fabric.check()
         assert fabric.registry.is_quarantined
@@ -216,7 +208,9 @@ class TestStrictLocalization:
         tables = [p.controls for p in schedule.probes]
         for coordinate in enumerate_switch_coordinates(M):
             for value in (0, 1):
-                pipeline = faulty_pipeline(coordinate, value)
+                pipeline = PipelinedBNBFabric(
+                    M, mask=faulty_mask(coordinate, value)
+                )
                 observations = schedule.run(
                     lambda words: pipeline.route_batch(words)
                 )
@@ -240,7 +234,7 @@ class TestStrictLocalization:
 
         strict = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(coordinate, value),
+            mask=faulty_mask(coordinate, value),
             schedule=thin_schedule,
             strict_localization=True,
         )
@@ -249,7 +243,7 @@ class TestStrictLocalization:
 
         lenient = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(coordinate, value),
+            mask=faulty_mask(coordinate, value),
             schedule=thin_schedule,
         )
         lenient.check()
@@ -314,7 +308,7 @@ class TestHealthMonitor:
     def test_monitor_tracks_service_events(self, schedule):
         fabric = ResilientFabric(
             M,
-            pipeline=faulty_pipeline(SwitchCoordinate(0, 0, 1, 1, 1), 0),
+            mask=faulty_mask(SwitchCoordinate(0, 0, 1, 1, 1), 0),
             schedule=schedule,
         )
         monitor = HealthMonitor(fabric.registry)
@@ -339,10 +333,8 @@ class TestValidation:
             ResilientFabric(M, schedule=schedule, retry_budget=-1)
 
     def test_pipeline_size_mismatch(self, schedule):
-        with pytest.raises(ValueError, match="pipeline"):
-            ResilientFabric(
-                M, pipeline=PipelinedBNBFabric(2), schedule=schedule
-            )
+        with pytest.raises(ValueError, match="fault mask"):
+            ResilientFabric(M, mask=build_fault_mask(2), schedule=schedule)
 
     def test_schedule_size_mismatch(self):
         with pytest.raises(ValueError, match="schedule"):

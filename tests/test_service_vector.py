@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Word
-from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
+from repro.core.pipeline import PipelinedBNBFabric
 from repro.core.pipeline_fast import route_frame_batch
 from repro.core.plan import DEAD_ADDRESS, FaultMask, build_fault_mask
 from repro.exceptions import FaultError
@@ -22,7 +22,6 @@ from repro.faults import (
     fault_mask_for,
     random_fault_set,
     shared_bist_schedule,
-    stuck_override_set,
 )
 from repro.faults.localization import decode_syndromes, observations_from_arrays
 from repro.permutations import random_permutation
@@ -105,10 +104,7 @@ class TestMaskedKernels:
         coordinate = SwitchCoordinate(2, 0, 0, 0, 0)
         for value in (0, 1):
             mask = fault_mask_for(3, [(coordinate, value)])
-            obj = PipelinedBNBFabric(
-                3,
-                control_override=stuck_control_override(2, 0, 0, 0, 0, value),
-            )
+            obj = PipelinedBNBFabric(3, mask=mask)
             words = reversal_words(8)
             outputs = obj.route_batch(list(words))
             addresses = np.array([w.address for w in words])
@@ -150,9 +146,7 @@ class TestPipelinedBIST:
         mask = fault_mask_for(m, faults)
 
         sequential = schedule.run(
-            lambda words: PipelinedBNBFabric(
-                m, control_override=stuck_override_set(faults)
-            ).route_batch(words)
+            lambda words: PipelinedBNBFabric(m, mask=mask).route_batch(words)
         )
         batched = schedule.run_batch(
             lambda probes: route_frame_batch(m, probes, mask=mask)
@@ -206,12 +200,7 @@ class TestVectorizedDecoding:
 
 
 def oracle_for(m, faults):
-    return ResilientFabric(
-        m,
-        pipeline=PipelinedBNBFabric(
-            m, control_override=stuck_override_set(faults)
-        ),
-    )
+    return ResilientFabric(m, mask=fault_mask_for(m, faults))
 
 
 class TestResilientVectorFabric:
