@@ -18,8 +18,10 @@ and shortens the timing loops; the spread bar still applies.
 Findings (see ``benchmarks/out/backend_arena.json``):
 
 * the multiway sorter's handful of whole-array comparator passes win
-  both workloads at every measured m — sorting-by-destination costs
-  O(log^2 N) vectorized stages but each stage is one fancy-index pass;
+  the small cells — sorting-by-destination costs O(log^2 N) vectorized
+  stages but each stage is one fancy-index pass — while the table-driven
+  BNB kernel wins the batch cells from m=5 on and the lone frame at
+  m=7;
 * KR-Benes is latency-competitive (the Waksman looping dominates; the
   compiled gather application is nearly free) but cannot amortize the
   per-frame control computation across a batch, so it falls behind on

@@ -463,6 +463,63 @@ def check_traffic_scenarios(
         )
 
 
+def check_kernel(data: Dict[str, Any], name: str, errors: List[str]) -> None:
+    """The ``bench_kernel.py`` bar: served vs arbiter-only kernel."""
+    for key in ("clock", "speedup_bar", "speedup_bar_cell", "cells"):
+        _require(key in data, name, f"missing {key!r}", errors)
+    cells = data.get("cells")
+    if not isinstance(cells, list):
+        _require(False, name, "'cells' must be a list", errors)
+        return
+    by_cell = {}
+    for cell in cells:
+        for key in (
+            "m",
+            "frames_per_call",
+            "rounds",
+            "served_us_per_call",
+            "arbiter_only_us_per_call",
+            "speedup_median",
+            "speedup_q1",
+            "speedup_q3",
+            "speedup_iqr",
+            "outputs_match",
+        ):
+            _require(key in cell, name, f"cell missing {key!r}", errors)
+        by_cell[(cell.get("m"), cell.get("frames_per_call"))] = cell
+        _require(
+            cell.get("rounds", 0) >= 15,
+            name,
+            f"cell {cell.get('m')}/{cell.get('frames_per_call')} ran "
+            f"{cell.get('rounds')!r} rounds (< 15 interleaved pairs)",
+            errors,
+        )
+        _require(
+            cell.get("outputs_match") is True,
+            name,
+            "served and arbiter-only kernels disagreed",
+            errors,
+        )
+    for m in (6, 8):
+        for batch in (1, 32):
+            _require(
+                (m, batch) in by_cell,
+                name,
+                f"missing cell m={m}, frames_per_call={batch}",
+                errors,
+            )
+    bar_cell = data.get("speedup_bar_cell", {})
+    bar = by_cell.get((bar_cell.get("m"), bar_cell.get("frames_per_call")))
+    if bar is not None and "speedup_bar" in data:
+        _require(
+            bar.get("speedup_median", 0.0) >= data["speedup_bar"],
+            name,
+            f"median speedup {bar.get('speedup_median')!r} below the "
+            f"{data['speedup_bar']}x bar",
+            errors,
+        )
+
+
 SCHEMAS: Dict[str, Callable[[Any, str, List[str]], None]] = {
     "gateway_load.json": check_gateway_load,
     "gateway_plane_kill.json": check_gateway_plane_kill,
@@ -474,6 +531,7 @@ SCHEMAS: Dict[str, Callable[[Any, str, List[str]], None]] = {
     "cluster_soak.json": check_cluster_soak,
     "backend_arena.json": check_backend_arena,
     "traffic_scenarios.json": check_traffic_scenarios,
+    "kernel.json": check_kernel,
 }
 
 

@@ -150,25 +150,19 @@ def verify_backend(
     return len(frames)
 
 
-def _time_single(engine, frames: List[np.ndarray], repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for addresses in frames:
-            engine.route_frame(addresses)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / len(frames))
-    return best
+def _time_single(engine, frames: List[np.ndarray]) -> float:
+    """Seconds per frame of one lone-frame pass over *frames*."""
+    start = time.perf_counter()
+    for addresses in frames:
+        engine.route_frame(addresses)
+    return (time.perf_counter() - start) / len(frames)
 
 
-def _time_batch(engine, stacked: np.ndarray, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        engine.route_frame_batch(stacked)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / stacked.shape[0])
-    return best
+def _time_batch(engine, stacked: np.ndarray) -> float:
+    """Seconds per frame of one ``route_frame_batch`` call."""
+    start = time.perf_counter()
+    engine.route_frame_batch(stacked)
+    return (time.perf_counter() - start) / stacked.shape[0]
 
 
 def calibrate(
@@ -186,11 +180,18 @@ def calibrate(
 
     Returns ``{workload: {backend: seconds_per_frame}}``.  Every
     candidate passes :func:`verify_backend` before it is timed; a
-    disagreeing backend raises instead of competing.  Measured cells
-    land in the in-process cache, so repeated calls (every plane of an
+    disagreeing backend raises instead of competing.  Each of
+    *repeats* rounds times every missing cell once, starting one cell
+    further along each round, and a cell's cost is the median of its
+    rounds: a host whose speed drifts during calibration then slows
+    every candidate alike, where timing one candidate's repeats back to
+    back let the drift pick the winner.  Measured cells land in the
+    in-process cache, so repeated calls (every plane of an
     ``engine="auto"`` gateway, the CLI, the benchmark) are dict reads.
     """
     names = list(backends) if backends is not None else backend_names()
+    if repeats < 1:
+        raise ValueError(f"calibration needs repeats >= 1, got {repeats}")
     for workload in workloads:
         if workload not in WORKLOADS:
             raise ValueError(
@@ -217,13 +218,20 @@ def calibrate(
                 for _ in range(batch_window)
             ]
         )
-        for workload, name in missing:
-            engine = compiled_backend(name, m)
-            if workload == "single":
-                cost = _time_single(engine, single_frames, repeats)
-            else:
-                cost = _time_batch(engine, batch_frames, repeats)
-            _CACHE[(m, workload, name)] = cost
+        rounds: Dict[Tuple[str, str], List[float]] = {
+            cell: [] for cell in missing
+        }
+        for turn in range(repeats):
+            start = turn % len(missing)
+            for workload, name in missing[start:] + missing[:start]:
+                engine = compiled_backend(name, m)
+                if workload == "single":
+                    cost = _time_single(engine, single_frames)
+                else:
+                    cost = _time_batch(engine, batch_frames)
+                rounds[(workload, name)].append(cost)
+        for (workload, name), costs in rounds.items():
+            _CACHE[(m, workload, name)] = float(np.median(costs))
     return {
         workload: {name: _CACHE[(m, workload, name)] for name in names}
         for workload in workloads

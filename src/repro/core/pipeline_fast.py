@@ -2,11 +2,13 @@
 
 :func:`route_frame_batch` routes a ``(batch, n)`` stack of frames
 through all ``m`` main stages of the BNB network; a lone frame is a
-one-row batch.  Each stage's splitters wider than 16 lines run as
-log-depth XOR-up/flag-down array passes over **all** boxes of the stage
-at once, every bit-sorter tail of at most 16 lines is one lookup in a
-precompiled table, and every interstage wire is a precompiled gather
-from the per-``m`` :class:`~repro.core.plan.CompiledPlan` cache, so no
+one-row batch.  Each main stage packs its address-bit slice into one
+16-bit row per 16 lines, decides its splitters wider than 16 lines on
+those rows by table lookups (16 lines and one parent flag at a time),
+routes every bit-sorter tail of at most 16 lines by one lookup in a
+precompiled table, and composes all of it, with the stage's wiring,
+into one gather — see :func:`~repro.core.plan.stage_flat_take` and the
+per-``m`` :class:`~repro.core.plan.CompiledPlan` cache — so no
 Python-level ``Word``, ``Splitter`` or ``Arbiter`` is touched.  It is
 the ``"bnb"`` routing backend (:mod:`repro.backends.bnb`) that the
 gateway's ``vector``, ``batch`` and ``bnb`` engines serve on.
@@ -33,8 +35,9 @@ import numpy as np
 from .plan import (
     DEAD_ADDRESS,
     FaultMask,
-    batch_stage_take_indices,
     compiled_plan,
+    frame_offsets,
+    stage_flat_take,
 )
 
 __all__ = ["route_frame_batch"]
@@ -53,28 +56,29 @@ def route_frame_batch(
     :class:`~repro.core.plan.FaultMask` the result is the (possibly
     misrouting) faulty fabric's arrival order, and the mask broadcasts:
     the same physical fault afflicts every frame.  Every stage steps
-    **all** frames with one set of numpy gathers
-    (:func:`~repro.core.plan.batch_stage_take_indices`), so the Python
-    overhead per call amortizes across the batch.
+    **all** frames with one gather
+    (:func:`~repro.core.plan.stage_flat_take`), so the Python overhead
+    per call amortizes across the batch.
     """
     plan = compiled_plan(m)
-    current = np.asarray(addresses, dtype=np.int64)
-    if current.ndim != 2 or current.shape[1] != plan.n:
+    addresses = np.asarray(addresses, dtype=np.int64)
+    if addresses.ndim != 2 or addresses.shape[1] != plan.n:
         raise ValueError(
             f"a frame batch for m={m} needs shape (batch, {plan.n}), "
-            f"got {current.shape}"
+            f"got {addresses.shape}"
         )
-    sources = np.broadcast_to(plan.identity, current.shape)
-    # Flat row-offset gathers instead of take_along_axis: one shared
-    # index array per stage, no per-call index-grid rebuild.
-    offsets = (np.arange(current.shape[0], dtype=np.int64) * plan.n)[:, None]
+    # Only an address's low m bits steer it, so each word travels as one
+    # int64 key, its input line above those bits: one gather per stage
+    # moves both.  DEAD_ADDRESS reads as all ones in the low bits.
+    low = plan.n - 1
+    keys = ((addresses & low) | (plan.identity << m)).ravel()
+    offsets = frame_offsets(plan, addresses.shape[0])
     for stage in plan.stages:
         if mask is not None:
             dead = mask.dead_links.get(stage.stage)
             if dead is not None:
-                current = np.where(dead[None, :], DEAD_ADDRESS, current)
-        flat = batch_stage_take_indices(plan, stage, current, mask=mask)
-        flat += offsets
-        current = current.ravel().take(flat)
-        sources = sources.ravel().take(flat)
-    return sources
+                frames = keys.reshape(addresses.shape)
+                keys = np.where(dead, frames | (DEAD_ADDRESS & low), frames)
+                keys = keys.ravel()
+        keys = keys.take(stage_flat_take(plan, stage, keys, offsets, mask))
+    return (keys >> m).reshape(addresses.shape)

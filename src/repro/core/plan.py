@@ -18,13 +18,29 @@ main stage it precomputes, as numpy arrays,
 Plans are cached per ``m`` (:func:`compiled_plan`), so every fabric,
 plane and worker process of a given size shares one set of tables.
 
-The per-stage kernels live here too: :func:`vector_splitter_controls`
-(the log-depth XOR-up/flag-down arbiter pass over all boxes of a stage
-at once) and :func:`batch_stage_take_indices`, which runs a stage's
-splitters wider than 16 lines on it and every bit-sorter tail of at
-most 16 lines as one lookup in a :func:`bit_sorter_table`.  They are
-the steps of :func:`~repro.core.pipeline_fast.route_frame_batch`, the
-one frame kernel.
+The per-stage kernels live here too.  :func:`stage_flat_take` is one
+main stage of :func:`~repro.core.pipeline_fast.route_frame_batch`, the
+one frame kernel.  It packs the stage's address-bit slice into one
+16-bit row per 16 lines and never touches the lines again until the
+stage's gather is composed:
+
+* a **splitter wider than 16 lines** (the stage's *head*) is decided
+  16 lines at a time.  The arbiter is a tree of identical nodes, so a
+  16-line subtree's switches depend only on its 16 bits and the one
+  flag its parent node sends down: a row-parity lookup gives every
+  group's XOR-up value, :func:`_subtree_flags` sends the flags down
+  over those parities by lookups of 8 at a time, and one row of
+  :func:`splitter_group_table` per (flag, 16-bit row) gives the
+  group's 8 controls and the bits its upper and lower outputs carry
+  into the unshuffle — so the next inner stage reads its rows from a
+  byte reshuffle;
+* every **bit-sorter tail** of at most 16 lines is one lookup in a
+  :func:`bit_sorter_table`.
+
+:func:`vector_splitter_controls` (the log-depth XOR-up/flag-down
+arbiter pass over all boxes of a stage at once) builds those tables
+and drives :func:`tree_stage_take_indices`, the arbiter-only stage that
+the tables equal and that a masked stage runs on.
 
 Faults are data here, not control flow: a :class:`FaultMask` carries
 per-(main stage, inner stage) stuck-control override arrays plus
@@ -65,6 +81,9 @@ __all__ = [
     "bit_sorter_table",
     "build_fault_mask",
     "compiled_plan",
+    "frame_offsets",
+    "splitter_group_table",
+    "stage_flat_take",
     "tree_stage_take_indices",
     "vector_splitter_controls",
 ]
@@ -75,7 +94,8 @@ __all__ = [
 DEAD_ADDRESS = np.int64(-1)
 
 #: Bit-sorter tails of at most ``2**TABLE_WIDTH_EXP`` lines route by one
-#: lookup in :func:`bit_sorter_table`; wider splitters use the arbiter.
+#: lookup in :func:`bit_sorter_table`; wider splitters are decided
+#: ``2**TABLE_WIDTH_EXP`` lines at a time by :func:`splitter_group_table`.
 TABLE_WIDTH_EXP = 4
 
 #: Rows per step of a table build, so its temporaries stay small.
@@ -93,7 +113,8 @@ class StagePlan:
     ``U_{m-i}^m`` following the stage (``None`` on the last main stage).
 
     The first ``head_depth`` inner stages (splitters wider than 16
-    lines) run on the arbiter; the rest form bit-sorter tails of
+    lines) are decided 16 lines at a time by
+    :func:`splitter_group_table`; the rest form bit-sorter tails of
     ``tail_width`` lines, routed by ``tail_table``
     (:func:`bit_sorter_table`).  ``tail_bases[y]`` is the first line of
     the tail block that feeds stage output ``y``, after the stage
@@ -264,15 +285,25 @@ def _pattern_rows(bits: np.ndarray, width: int) -> np.ndarray:
     """The table row of every run of *width* (2 to 16) lines in *bits*.
 
     Line ``x`` of a run, read as 1 when nonzero, is bit ``x`` of its
-    row: ``packbits`` puts line 0 in the least significant bit.
+    row: ``packbits`` puts line 0 in the least significant bit.  A bool
+    *bits* packs several times faster than an integer one.
     """
     packed = np.packbits(bits, axis=None, bitorder="little")
     if width == 16:
         return packed.view("<u2")
     if width == 8:
         return packed
-    runs = packed[:, None] >> np.arange(0, 8, width, dtype=np.uint8)
-    return (runs & ((1 << width) - 1)).ravel()[: bits.size // width]
+    runs = _byte_runs(width).take(packed, axis=0)
+    return runs.ravel()[: bits.size // width]
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_runs(width: int) -> np.ndarray:
+    """Row ``b``: the runs of *width* (2 or 4) bits of byte ``b``."""
+    runs = np.arange(256)[:, None] >> np.arange(0, 8, width)
+    runs = (runs & ((1 << width) - 1)).astype(np.uint8)
+    runs.flags.writeable = False
+    return runs
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,6 +359,80 @@ def bit_sorter_table(width_exp: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _row_parity() -> np.ndarray:
+    """The XOR of the 16 bits of every 16-bit row (64 KiB)."""
+    rows = np.arange(1 << 16, dtype=np.uint16)
+    for shift in (8, 4, 2, 1):
+        rows ^= rows >> shift
+    parity = (rows & 1).astype(np.uint8)
+    parity.flags.writeable = False
+    return parity
+
+
+@functools.lru_cache(maxsize=None)
+def _subtree_flag_table() -> np.ndarray:
+    """The flags an 8-leaf arbiter subtree sends to its leaves.
+
+    Row ``(flag << 8) | p`` holds them, one per leaf, for leaf values
+    ``(p >> x) & 1`` when the subtree's root receives *flag* (512 x 8
+    ``uint8``).  A run of ``2**k < 8`` leaves padded with zeros reads
+    its own flags off the first ``2**k`` columns: with zeros beside
+    them, every node on the path down to the run passes *flag* through
+    when the run's parity is 1, and when it is 0 the run's root sends
+    (0, 1) whatever it receives.
+    """
+    index = np.arange(512)
+    leaves = ((index[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+    table = _arbiter_flags(leaves, index >> 8)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _root_flag_table() -> np.ndarray:
+    """:func:`_subtree_flag_table` where the 8 subtrees make up a whole
+    splitter, whose root echoes its parity: row ``p`` (256 x 8)."""
+    leaves = np.arange(256)
+    parity = _row_parity()[leaves].astype(np.intp)
+    table = _subtree_flag_table()[(parity << 8) | leaves]
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def splitter_group_table() -> np.ndarray:
+    """Every 16-line group of a splitter wider than 16 lines, decided.
+
+    The arbiter is a tree of identical function nodes, so the switches
+    under a 16-input subtree depend only on its 16 bits and the one
+    flag its parent node sends down.  Row ``(flag << 16) | r`` holds,
+    for the group whose line ``x`` carries bit ``(r >> x) & 1``, three
+    bytes: the 8 switch controls (bit ``t`` for switch ``t``), then the
+    bits its 8 upper and its 8 lower outputs carry into the unshuffle
+    (131,072 x 3 ``uint8``, 384 KiB).  A whole splitter's root echoes
+    its own parity, so a 16-line splitter is the row with ``flag`` equal
+    to the parity of ``r``.  Built once per process by
+    :func:`vector_splitter_controls` with the parent flag given, in
+    4,096-row chunks.
+    """
+    lines = np.arange(16, dtype=np.uint16)
+    table = np.empty((2 << 16, 3), dtype=np.uint8)
+    for start in range(0, len(table), _TABLE_CHUNK_ROWS):
+        index = np.arange(start, start + _TABLE_CHUNK_ROWS)
+        rows = (index & 0xFFFF).astype(np.uint16)
+        bits = ((rows[:, None] >> lines) & 1).astype(np.uint8)
+        controls = vector_splitter_controls(bits, index >> 16)
+        even, odd = bits[:, 0::2], bits[:, 1::2]
+        upper = even ^ (controls & (even ^ odd))
+        for column, values in enumerate((controls, upper, upper ^ even ^ odd)):
+            table[start : start + _TABLE_CHUNK_ROWS, column] = np.packbits(
+                values, axis=1, bitorder="little"
+            )[:, 0]
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
 def compiled_plan(m: int) -> CompiledPlan:
     """Build (once per process per ``m``) the compiled routing plan."""
     if m < 1:
@@ -360,6 +465,12 @@ def compiled_plan(m: int) -> CompiledPlan:
                 tail_bases=tail_bases,
             )
         )
+    if stages[0].head_depth:
+        # Splitters wider than 16 lines: build their tables now, not on
+        # the first routed frame.
+        _row_parity()
+        _root_flag_table()
+        splitter_group_table()
     plan = CompiledPlan(
         m=m,
         n=n,
@@ -379,59 +490,80 @@ def compiled_plan(m: int) -> CompiledPlan:
     return plan
 
 
-def vector_splitter_controls(bits: np.ndarray) -> np.ndarray:
-    """Vectorized arbiter + switch-setting over blocks of bit rows.
+def _arbiter_flags(
+    bits: np.ndarray, flag: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The flag the arbiter tree sends down to every input line.
 
-    *bits* has shape ``(blocks, width)``; returns controls of shape
-    ``(blocks, width // 2)``.  Mirrors :class:`~repro.core.arbiter.Arbiter`
-    exactly (tests enforce agreement element by element).
+    *bits* is ``(blocks, width)``; *flag* the ``(blocks,)`` flags each
+    block's root receives from a parent node, or None for a whole
+    splitter, whose root echoes its own up-value.
     """
-    width = bits.shape[1]
-    if width == 2:
-        # sp(1): the upper input bit is the control.
-        return bits[:, 0:1].copy()
     # Upward pass.
     ups = []
     current = bits
     while current.shape[1] > 1:
         current = current[:, 0::2] ^ current[:, 1::2]
         ups.append(current)
-    # Downward pass; the root echoes its own up-value as its parent flag.
-    # All values are 0/1 ints, so the per-node selection "u == 0 picks
-    # (0, 1), u == 1 echoes the parent flag" is pure bit arithmetic:
-    # y1 = z & u, y2 = z | ~u — cheaper than the equivalent ``where``.
-    z_down = ups[-1]  # shape (blocks, 1)
+    # Downward pass.  All values are 0/1 ints, so the per-node selection
+    # "u == 0 picks (0, 1), u == 1 echoes the parent flag" is pure bit
+    # arithmetic: y1 = z & u, y2 = z | ~u — cheaper than the equivalent
+    # ``where``.
+    if flag is None:
+        z_down = ups[-1]  # shape (blocks, 1)
+    else:
+        z_down = np.asarray(flag, dtype=bits.dtype).reshape(-1, 1)
     for level in range(len(ups) - 1, -1, -1):
         u = ups[level]
         interleaved = np.empty((u.shape[0], u.shape[1] * 2), dtype=bits.dtype)
         interleaved[:, 0::2] = z_down & u
         interleaved[:, 1::2] = z_down | (u ^ 1)
         z_down = interleaved
-    flags = z_down  # shape (blocks, width): one flag per input line
-    return bits[:, 0::2] ^ flags[:, 0::2]
+    return z_down  # shape (blocks, width): one flag per input line
+
+
+def vector_splitter_controls(
+    bits: np.ndarray, flag: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Vectorized arbiter + switch-setting over blocks of bit rows.
+
+    *bits* has shape ``(blocks, width)``; returns controls of shape
+    ``(blocks, width // 2)``.  Mirrors :class:`~repro.core.arbiter.Arbiter`
+    exactly (tests enforce agreement element by element).  With *flag*
+    (``(blocks,)`` 0/1 values) each block is instead a subtree of a
+    wider splitter whose root receives that flag from its parent node;
+    a whole splitter is the case flag = parity of its bits.
+    """
+    if bits.shape[1] == 2 and flag is None:
+        # sp(1): the upper input bit is the control.
+        return bits[:, 0:1].copy()
+    return bits[:, 0::2] ^ _arbiter_flags(bits, flag)[:, 0::2]
+
+
+def frame_offsets(plan: CompiledPlan, batch: int) -> np.ndarray:
+    """Each frame's first line in a ravelled ``(batch, n)`` batch."""
+    return np.arange(0, batch * plan.n, plan.n)[:, None]
 
 
 def _arbiter_take(
     plan: CompiledPlan,
     stage: StagePlan,
     addresses: np.ndarray,
-    depth: int,
     mask: Optional[FaultMask],
-    offsets: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run the first *depth* (at least one) inner stages on the arbiter.
+) -> np.ndarray:
+    """Run every inner stage of a main stage on the arbiter.
 
-    Returns ``(take, current)``: the composed ``(batch, n)`` gather
-    index and the addresses it leaves on the lines.  Every splitter
+    Returns the composed ``(batch, n)`` gather index.  Every splitter
     column of every frame is decided in one arbiter pass (the frames
     stack onto the block axis), and a stuck override in *mask* holds
     its forced controls — the same physical switch stuck in every
     frame.
     """
     batch = addresses.shape[0]
+    offsets = frame_offsets(plan, batch)
     take: Optional[np.ndarray] = None
     current = addresses
-    for j in range(depth):
+    for j in range(stage.block_exp):
         width = stage.inner_widths[j]
         gather = stage.inner_gathers[j]
         # (batch * blocks, width): frames stack onto the block axis.
@@ -459,7 +591,7 @@ def _arbiter_take(
         current = current.ravel().take(flat)
         # First step composes with identity — the step IS the take.
         take = step if take is None else take.ravel().take(flat)
-    return take, current
+    return take
 
 
 def tree_stage_take_indices(
@@ -479,26 +611,117 @@ def tree_stage_take_indices(
     clobber words at stage input, in the caller.)  The reference the
     stage tables equal.
     """
-    offsets = (np.arange(addresses.shape[0], dtype=np.int64) * plan.n)[:, None]
-    take, _current = _arbiter_take(
-        plan, stage, addresses, stage.block_exp, mask, offsets
-    )
+    take = _arbiter_take(plan, stage, addresses, mask)
     if stage.stage_gather is not None:
         take = take[:, stage.stage_gather]
     return take
 
 
-def _table_step(stage: StagePlan, addresses: np.ndarray) -> np.ndarray:
-    """The stage's bit-sorter tails, and its unshuffle, as one gather.
+def _subtree_flags(parities: np.ndarray) -> np.ndarray:
+    """The flag a splitter's arbiter sends to each of its subtrees.
 
-    Packs each tail's slice bits into its row of ``stage.tail_table``
-    and offsets the row's in-tail gather by the tail's first line.
+    *parities* is ``(splitters, count)``: the XOR-up values of
+    ``count`` (a power of two) equal subtrees of each splitter, in line
+    order; the result is their flags, same shape.  Up to eight subtrees
+    are one :func:`_root_flag_table` row.  More are grouped by eight:
+    the groups' flags come from their own parities the same way, and
+    each group's subtrees then read theirs off its
+    :func:`_subtree_flag_table` row.
     """
-    rows = _pattern_rows(addresses & (1 << stage.shift), stage.tail_width)
-    local = stage.tail_table.take(rows, axis=0).reshape(addresses.shape)
+    count = parities.shape[1]
+    packed = np.packbits(parities, axis=1, bitorder="little")
+    if packed.shape[1] == 1:
+        flags = _root_flag_table().take(packed[:, 0], axis=0)
+    else:
+        groups = _subtree_flags(_row_parity().take(packed))
+        index = np.left_shift(groups, 8, dtype=np.intp)
+        index |= packed
+        flags = _subtree_flag_table().take(index, axis=0)
+    return flags.reshape(-1, packed.shape[1] * 8)[:, :count]
+
+
+def _head_step(
+    rows: np.ndarray, width: int, gather: np.ndarray, offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One inner stage of splitters wider than 16 lines, on packed rows.
+
+    *rows* holds the slice bits of every 16 lines, in line order,
+    *gather* is the stage's unshuffle and *offsets* each frame's first
+    line in the ravelled batch.  Returns the rows after the unshuffle
+    and the stage's flat gather (the switches, then the unshuffle).
+    """
+    groups = width // 16
+    flags = _subtree_flags(_row_parity().take(rows).reshape(-1, groups))
+    index = np.left_shift(flags, 16, dtype=np.intp).ravel()
+    index |= rows
+    entries = splitter_group_table().take(index, axis=0)
+    entries = entries.reshape(-1, groups, 3)
+    # The unshuffle puts every group's upper outputs, in group order, on
+    # the splitter's upper half and its lower outputs on the lower half.
+    halves = np.ascontiguousarray(entries[:, :, 1:].transpose(0, 2, 1))
+    # Output y of a splitter's upper or lower half comes from switch
+    # y % (width / 2); the unshuffle alone takes it from that switch's
+    # upper or lower input, and an exchanging switch flips the choice.
+    controls = np.unpackbits(entries[:, :, 0], axis=1, bitorder="little")
+    step = np.add(offsets, gather)
+    halved = step.reshape(-1, 2, width // 2)
+    np.bitwise_xor(halved, controls[:, None, :], out=halved)
+    return halves.view("<u2").ravel(), step.ravel()
+
+
+def _tail_step(
+    stage: StagePlan, rows: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """The stage's bit-sorter tails and its unshuffle, as one flat gather.
+
+    Looks up each tail's row in ``stage.tail_table`` and offsets the
+    row's in-tail gather by the tail's first line in the ravelled batch.
+    """
+    local = stage.tail_table.take(rows, axis=0)
+    local = local.reshape(-1, stage.tail_bases.size)
     if stage.stage_gather is not None:
         local = local.take(stage.stage_gather, axis=1)
-    return local + stage.tail_bases
+    flat = np.add(offsets, stage.tail_bases)
+    flat += local
+    return flat.ravel()
+
+
+def stage_flat_take(
+    plan: CompiledPlan,
+    stage: StagePlan,
+    addresses: np.ndarray,
+    offsets: np.ndarray,
+    mask: Optional[FaultMask] = None,
+) -> np.ndarray:
+    """One main stage over a batch, as one gather over the whole batch.
+
+    *addresses* holds ``batch`` frames of ``n`` lines (shape
+    ``(batch, n)``, or ravelled) and *offsets* is ``(batch, 1)``: frame
+    ``b``'s first line, ``b * n``.  The result ``flat`` is
+    ``(batch * n,)`` and ``addresses.ravel()[flat]`` is the batch after
+    the stage.  Same decisions as :func:`tree_stage_take_indices`: the
+    stage's slice bits are packed once, each inner stage of splitters
+    wider than 16 lines is decided on the packed rows
+    (:func:`splitter_group_table`) and each bit-sorter tail after them
+    is one table row.  A stage with a stuck override in *mask* runs
+    wholly on the arbiter; dead links need no such care, since
+    :data:`DEAD_ADDRESS` reads as all ones in the rows too.
+    """
+    if mask is not None and any(i == stage.stage for i, _j in mask.overrides):
+        frames = addresses.reshape(-1, plan.n)
+        take = tree_stage_take_indices(plan, stage, frames, mask)
+        return (take + offsets).ravel()
+    rows = _pattern_rows(
+        (addresses & (1 << stage.shift)) != 0, stage.tail_width
+    )
+    take = None
+    for j in range(stage.head_depth):
+        rows, step = _head_step(
+            rows, stage.inner_widths[j], stage.inner_gathers[j], offsets
+        )
+        take = step if take is None else take.take(step)
+    tail = _tail_step(stage, rows, offsets)
+    return tail if take is None else take.take(tail)
 
 
 def batch_stage_take_indices(
@@ -507,21 +730,10 @@ def batch_stage_take_indices(
     addresses: np.ndarray,
     mask: Optional[FaultMask] = None,
 ) -> np.ndarray:
-    """One main stage over a batch: arbiter head, table tail.
+    """:func:`stage_flat_take` per frame: ``new = old[take]`` row by row.
 
-    Same contract and answer as :func:`tree_stage_take_indices`.  The
-    stage's first ``head_depth`` inner stages (splitters wider than 16
-    lines) run on the arbiter, and each bit-sorter tail after them is
-    one table row.  A stage with a stuck override in *mask* runs wholly
-    on the arbiter; dead links need no such care, since
-    :data:`DEAD_ADDRESS` reads as all ones in the table row too.
+    Same contract and answer as :func:`tree_stage_take_indices`.
     """
-    if mask is not None and any(i == stage.stage for i, _j in mask.overrides):
-        return tree_stage_take_indices(plan, stage, addresses, mask)
-    if not stage.head_depth:
-        return _table_step(stage, addresses)
-    offsets = (np.arange(addresses.shape[0], dtype=np.int64) * plan.n)[:, None]
-    take, current = _arbiter_take(
-        plan, stage, addresses, stage.head_depth, None, offsets
-    )
-    return take.ravel().take(_table_step(stage, current) + offsets)
+    offsets = frame_offsets(plan, addresses.shape[0])
+    flat = stage_flat_take(plan, stage, addresses, offsets, mask)
+    return flat.reshape(addresses.shape) - offsets

@@ -26,6 +26,8 @@ from repro.exceptions import ReproError
 
 #: Small, fast calibration settings for the tests.
 QUICK = dict(frames=4, batch_window=4, repeats=1, verify_samples=2)
+#: The same with the default three rounds.
+QUICK_ROUNDS = dict(QUICK, repeats=3)
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +133,96 @@ def lying_backend():
     finally:
         del _REGISTRY[spec.name]
         compiled_backend.cache_clear()
+
+
+class _DriftingClock:
+    """A fake ``time`` module on a host whose load fades.
+
+    Routing a frame costs its backend's true seconds times the host's
+    current slowdown, which drifts from 2.0 towards 1.0 by 0.2 per
+    timing (two clock reads), as a shared host's load fades.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return self.now
+
+    def spend(self, seconds):
+        self.now += seconds * max(2.0 - 0.2 * (self.reads // 2), 1.0)
+
+
+class _PacedBackend:
+    """The real ``bnb`` kernel, billed at a fixed true cost per frame."""
+
+    def __init__(self, m, clock, cost):
+        self.inner = compiled_backend("bnb", m)
+        self.clock = clock
+        self.cost = cost
+
+    def route_frame(self, addresses):
+        return self.inner.route_frame(addresses)
+
+    def route_frame_batch(self, addresses):
+        self.clock.spend(self.cost * addresses.shape[0])
+        return self.inner.route_frame_batch(addresses)
+
+
+@pytest.fixture
+def drifting_pair(monkeypatch):
+    """Backends "paced-fast" (1.0 s/frame) and "paced-slow" (1.2 s/frame)
+    timed on a :class:`_DriftingClock`."""
+    clock = _DriftingClock()
+    monkeypatch.setattr(arena_module, "time", clock)
+    names = {"paced-fast": 1.0, "paced-slow": 1.2}
+    for name, cost in names.items():
+        _REGISTRY[name] = BackendSpec(
+            name=name,
+            summary="paced bnb (test only)",
+            factory=lambda m, cost=cost: _PacedBackend(m, clock, cost),
+        )
+    compiled_backend.cache_clear()
+    try:
+        yield list(names)
+    finally:
+        for name in names:
+            del _REGISTRY[name]
+        compiled_backend.cache_clear()
+
+
+class TestDriftingHost:
+    def test_pick_follows_the_true_cost(self, drifting_pair):
+        """Rounds interleave the candidates, so the drift slows both
+        alike and the cheaper backend wins."""
+        decision = select_backend(
+            3, workload="batch", backends=drifting_pair, **QUICK_ROUNDS
+        )
+        assert decision.backend == "paced-fast"
+        # Rounds ran fast, slow / slow, fast / fast, slow.
+        assert decision.table == {
+            "paced-fast": pytest.approx(1.4),
+            "paced-slow": pytest.approx(1.6 * 1.2),
+        }
+
+    def test_back_to_back_best_of_three_picks_the_drift(self, drifting_pair):
+        """The same host under the former schedule — each candidate's
+        three repeats back to back, best kept — crowns the slower
+        backend, since its repeats ran after the host sped up."""
+        best = {}
+        for name in drifting_pair:
+            engine = compiled_backend(name, 3)
+            frames = np.stack([np.arange(8)] * QUICK_ROUNDS["batch_window"])
+            best[name] = min(
+                arena_module._time_batch(engine, frames) for _ in range(3)
+            )
+        assert min(best, key=best.__getitem__) == "paced-slow"
+
+    def test_repeats_must_be_positive(self):
+        with pytest.raises(ValueError, match="repeats"):
+            calibrate(3, **dict(QUICK, repeats=0))
 
 
 class TestOracleGate:

@@ -310,6 +310,72 @@ def test_masked_kernel_table_split_cases_m5(stuck, dead_links):
     assert kernel == obj and len(kernel) == 6
 
 
+@st.composite
+def head_faulted_frame_schedules(draw):
+    """Faults at m = 8 around the packed-row head.
+
+    Main stage 0 opens with a 256-line splitter: 16 groups of 16 lines,
+    each decided by one table row and the flag the tree above the
+    groups sends it.  Dead links enter that head (and sometimes stage
+    1's 128-line one); one stuck switch sits on a later stage, which
+    runs wholly on the arbiter, so stages 0 and 1 stay on the tables.
+    """
+    from repro.faults import enumerate_switch_coordinates
+
+    m = 8
+    n = 1 << m
+    later = [c for c in enumerate_switch_coordinates(m) if c.main_stage >= 2]
+    stuck = draw(st.sampled_from(later), label="stuck switch")
+    dead_links = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0, 0, 0, 1]), st.integers(0, n - 1)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        label="dead links",
+    )
+    faults = [(stuck, draw(st.integers(0, 1)))]
+    return m, faults, dead_links, _draw_schedule(draw, n, 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(head_faulted_frame_schedules())
+def test_masked_kernel_matches_object_pipeline_on_the_head(case):
+    """Garbage from dead links crossing the 256-line head's tables, a
+    stuck switch downstream: frame by frame the kernel corrupts exactly
+    as the faulty object pipeline does."""
+    m, faults, dead_links, schedule = case
+    kernel, obj = _source_lines(m, schedule, faults, dead_links)
+    assert kernel == obj
+
+
+@pytest.mark.parametrize(
+    "stuck, dead_links",
+    [
+        # Dead links on stage 0's 256-line head; a stuck switch in the
+        # 64-line head of stage 2.
+        ([((2, 1, 0, 0, 13), 1)], [(0, 17), (0, 200), (0, 201)]),
+        # A whole 16-line group of the head dead; a stuck switch in the
+        # last stage.
+        ([((7, 100, 0, 0, 0), 1)], [(0, line) for line in range(32, 48)]),
+        # Dead links entering stages 0 and 1 (a 128-line head); a stuck
+        # switch in a 4-line tail of stage 5.
+        ([((5, 9, 1, 0, 1), 0)], [(0, 0), (0, 255), (1, 90)]),
+    ],
+    ids=["head-dead-stage-2-stuck", "dead-group", "two-heads-dead"],
+)
+def test_masked_kernel_head_cases_m8(stuck, dead_links):
+    """Pinned cases of the property above."""
+    from repro.faults import SwitchCoordinate
+
+    faults = [(SwitchCoordinate(*where), value) for where, value in stuck]
+    rng = np.random.default_rng(8)
+    schedule = [rng.permutation(256).tolist() for _ in range(3)]
+    kernel, obj = _source_lines(8, schedule, faults, dead_links)
+    assert kernel == obj and len(kernel) == 3
+
+
 @settings(max_examples=15, deadline=None)
 @given(faulted_frame_schedules())
 def test_faulty_resilient_services_agree(case):

@@ -6,9 +6,12 @@ a checker that silently matches nothing would otherwise pass forever.
 """
 
 import pathlib
+import re
 import sys
 
 import pytest
+
+import repro
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -34,6 +37,16 @@ class TestRepositoryDocs:
 
     def test_cross_links_resolve(self):
         assert check_docs.check_links(REPO_ROOT) == []
+
+    def test_version_names_the_newest_release(self):
+        """``repro.__version__``, the pyproject version and the newest
+        ``## x.y.z`` heading of CHANGELOG.md are one release."""
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"', pyproject, re.M)
+        changelog = (REPO_ROOT / "CHANGELOG.md").read_text()
+        newest = re.search(r"^## (\d+\.\d+\.\d+)\s*$", changelog, re.M)
+        assert declared and newest
+        assert repro.__version__ == declared.group(1) == newest.group(1)
 
     def test_documented_cli_surface_exists(self):
         assert check_docs.check_cli(REPO_ROOT) == []
