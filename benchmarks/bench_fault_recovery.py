@@ -166,11 +166,12 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
     """The serving fault policy vs the object service, words/s.
 
     The ``vector`` side is :class:`~repro.service.FaultPolicy` in the
-    window-1 shape a ``--engine vector --resilient`` plane serves: one
-    frame per ``submit``, routed by the ``bnb`` kernel (no mask while
-    healthy) and, after quarantine, by the ``krbenes`` spare's Waksman
-    looping.  Sweeps the healthy serving path and the post-quarantine
-    failover path with the same injected fault on both services.
+    window-1 shape a ``--resilient`` plane with ``batch_window=1``
+    serves: one frame per ``submit``, routed by the ``bnb`` kernel (no
+    mask while healthy) and, after quarantine, by the ``krbenes``
+    spare's Waksman looping.  Sweeps the healthy serving path and the
+    post-quarantine failover path with the same injected fault on both
+    services.
     ``m = 6`` uses a relaxed-coverage BIST schedule (strict coverage is
     unattainable past ``m = 4`` — see
     :func:`repro.faults.build_bist_schedule`); detection of the

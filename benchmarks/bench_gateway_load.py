@@ -4,8 +4,10 @@ The serving-layer counterpart of ``bench_pipeline_throughput``: instead
 of feeding the fabric perfect permutations, we drive the **gateway**
 with open-loop uniform-random traffic at a controlled offered load
 (rho = arrival rate / fabric capacity of N words/cycle) and measure
-what the VOQ + frame-coalescing + pipelined-plane stack actually
-sustains.
+what the VOQ + frame-coalescing + plane stack actually sustains.  Each
+plane routes one frame per cycle on the object model (``engine=
+"bnb-object", batch_window=1``), so the fabric's capacity is N words
+per cycle.
 
 Findings (see ``benchmarks/out/gateway_load.json``):
 
@@ -18,9 +20,10 @@ Findings (see ``benchmarks/out/gateway_load.json``):
 * **overload degrades by rejection, not memory** — at rho=1.5 the
   queues stay at their bound and a third of arrivals bounce with a
   retry-after hint, while delivered throughput holds at capacity;
-* **plane kill degrades throughput, never delivery** — killing one of
-  two planes mid-run requeues its in-flight words; everything admitted
-  is still delivered (``gateway_plane_kill.json``).
+* **plane kill degrades throughput, never delivery** — one of two
+  planes starts misrouting mid-run, dies on its first bad frame, and
+  that frame's words requeue; everything admitted is still delivered
+  (``gateway_plane_kill.json``).
 """
 
 from __future__ import annotations
@@ -29,15 +32,48 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
+from repro.backends import compiled_backend
 from repro.exceptions import AdmissionRejectedError
-from repro.server import AsyncGateway, GatewayConfig
+from repro.server import AsyncGateway, BackendPlane, GatewayConfig
 
 SWEEP_LOADS = (0.5, 1.0, 1.5)
 SWEEP_MS = (3, 4, 5)
 CYCLES = 300
 WARMUP = 50
+
+
+def sweep_config(m: int, planes: int = 1) -> GatewayConfig:
+    """One frame per plane per cycle on the object model."""
+    return GatewayConfig(
+        m=m,
+        planes=planes,
+        queue_capacity=16,
+        engine="bnb-object",
+        batch_window=1,
+    )
+
+
+class _MisroutesFrom:
+    """*backend*, except that from its *start*-th call on it rolls every
+    routed row by one line: each word lands on the wrong output, so the
+    plane's verification kills it with that frame inside."""
+
+    name = "bnb-object-misroutes"
+
+    def __init__(self, backend, start: int) -> None:
+        self._backend = backend
+        self._start = start
+        self._calls = 0
+
+    def route_frame_batch(self, addresses: np.ndarray) -> np.ndarray:
+        self._calls += 1
+        sources = self._backend.route_frame_batch(addresses)
+        if self._calls < self._start:
+            return sources
+        return np.roll(sources, 1, axis=1)
 
 
 def drive_open_loop(
@@ -46,7 +82,6 @@ def drive_open_loop(
     cycles: int,
     warmup: int,
     seed: int = 1234,
-    kill_plane_at: int = None,
 ):
     """Clock the gateway synchronously under open-loop random arrivals.
 
@@ -61,8 +96,6 @@ def drive_open_loop(
     marks = {}
     start = time.perf_counter()
     for cycle in range(cycles):
-        if kill_plane_at is not None and cycle == kill_plane_at:
-            gateway.kill_plane(0, reason="benchmark kill")
         credit += load * n
         while credit >= 1.0:
             credit -= 1.0
@@ -106,9 +139,7 @@ def test_load_sweep(benchmark, write_artifact):
     rows = []
     for m in SWEEP_MS:
         for load in SWEEP_LOADS:
-            gateway = AsyncGateway(
-                GatewayConfig(m=m, planes=1, queue_capacity=16)
-            )
+            gateway = AsyncGateway(sweep_config(m))
             row = drive_open_loop(gateway, load, CYCLES, WARMUP)
             row.update({"m": m, "n": 1 << m, "offered_load": load})
             rows.append(row)
@@ -140,29 +171,35 @@ def test_load_sweep(benchmark, write_artifact):
 
     # Time the saturated steady state at the acceptance size m=4.
     def saturated_run():
-        gateway = AsyncGateway(
-            GatewayConfig(m=4, planes=1, queue_capacity=16)
-        )
-        return drive_open_loop(gateway, 1.0, 120, 20)
+        return drive_open_loop(AsyncGateway(sweep_config(4)), 1.0, 120, 20)
 
     timed = benchmark(saturated_run)
     assert timed["steady_fill"] >= 0.9
 
 
 def test_plane_kill_keeps_delivery(write_artifact):
-    """Killing one of two planes mid-run: throughput drops, delivery doesn't."""
+    """A plane dying mid-run: throughput drops, delivery doesn't.
+
+    Plane 0 takes a frame every cycle and misroutes from cycle
+    ``kill_at`` on, so it dies inside that cycle with the frame in it.
+    """
     m = 4
-    gateway = AsyncGateway(
-        GatewayConfig(m=m, planes=2, queue_capacity=16)
-    )
-    row = drive_open_loop(
-        gateway, 1.0, CYCLES, WARMUP, kill_plane_at=CYCLES // 2
-    )
+    kill_at = CYCLES // 2
+
+    def factory(plane_id, m):
+        backend = compiled_backend("bnb-object", m)
+        if plane_id == 0:
+            backend = _MisroutesFrom(backend, start=kill_at)
+        return BackendPlane(plane_id, m, backend=backend, batch_window=1)
+
+    gateway = AsyncGateway(sweep_config(m, planes=2), plane_factory=factory)
+    row = drive_open_loop(gateway, 1.0, CYCLES, WARMUP)
     stats = gateway.stats()
     # 100% of admitted words delivered despite the mid-run kill...
     assert row["words_delivered"] == row["words_accepted"]
-    # ...on a pool that really lost a plane with words in flight.
+    # ...on a pool that really lost a plane with words inside.
     assert [plane["healthy"] for plane in stats["planes"]] == [False, True]
+    assert stats["planes"][0]["frames_delivered"] == kill_at - 1
     assert stats["queues"]["requeued"] > 0
     assert stats["planes"][1]["words_delivered"] > 0
 
@@ -170,7 +207,7 @@ def test_plane_kill_keeps_delivery(write_artifact):
         "benchmark": "gateway_plane_kill",
         "m": m,
         "planes": 2,
-        "kill_at_cycle": CYCLES // 2,
+        "kill_at_cycle": kill_at,
         "admitted": row["words_accepted"],
         "delivered": row["words_delivered"],
         "delivery_ratio": (

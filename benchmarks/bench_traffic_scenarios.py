@@ -60,10 +60,13 @@ RESULTS = {}
 
 
 def _replay(scenario, *, tenants=None, events=EVENTS):
+    # One frame per cycle: the hot output drains one word a cycle, so
+    # the replay can saturate it.
     config = GatewayConfig(
         m=M,
         queue_capacity=64,
-        engine="vector",
+        engine="batch",
+        batch_window=1,
         tenants=tenants,
     )
 

@@ -1,15 +1,15 @@
-"""Object engine vs compiled vector engine: pipelined cycles per second.
+"""Object model vs compiled vector dataplane: cycles per second.
 
-The ISSUE 4 acceptance benchmark: the same cycle-accurate schedule —
-offer one fresh permutation per cycle, step, repeat — clocked once on
-the reference object-model :class:`PipelinedBNBFabric` and once on
-what ``--engine vector`` serves, a :class:`BackendPlane` on the
-compiled ``bnb`` backend with the pipeline's timing (``batch_window=1,
-depth=m``: one frame enters per step and leaves ``m`` steps later,
-every frame verified in full), at m in {6, 8, 10}.  The vector engine
-must sustain **>= 10x** the object engine's cycles/sec at m=8, and the
-gateway must still fill frames (>= 0.9 steady-state fill at offered
-load 1.0) when its planes run the vector engine.
+The ISSUE 4 acceptance benchmark: the same schedule — offer one fresh
+permutation per cycle, step, repeat — clocked once on the reference
+object-model :class:`PipelinedBNBFabric` and once on a
+:class:`BackendPlane` on the compiled ``bnb`` backend taking one frame
+per cycle (``batch_window=1``: each frame routed, verified in full and
+delivered in the step that takes it), at m in {6, 8, 10}.  The vector
+dataplane must sustain **>= 10x** the object model's cycles/sec at
+m=8, and the gateway must still fill frames (>= 0.9 steady-state fill
+at offered load 1.0) when its planes route one frame per cycle on
+``--engine batch``.
 
 ``BENCH_VECTOR_QUICK=1`` (the CI smoke) trims the sweep to m in
 {6, 8} and shortens the runs; the m=8 speedup bar still applies.
@@ -21,8 +21,8 @@ Findings (see ``benchmarks/out/vector_pipeline.json``):
 * the vector engine's cycle cost is a handful of whole-array numpy
   passes per stage, so the gap *widens* with m — the compiled plan is
   how the software model starts behaving like the hardware it models;
-* the gateway at m=4 on the vector engine fills frames at load 1.0
-  exactly like the object-engine run in ``bench_gateway_load``.
+* the gateway at m=4 on ``batch`` planes of window 1 fills frames at
+  load 1.0 exactly like the object-model run in ``bench_gateway_load``.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ def _object_cycles_per_sec(m: int, cycles: int) -> float:
 
 
 def _vector_cycles_per_sec(m: int, cycles: int) -> float:
-    """The same schedule on the window-1, depth-m ``bnb`` plane."""
+    """The same schedule on the window-1 ``bnb`` plane."""
     n = 1 << m
     perms = [np.array([pi], dtype=np.int64) for pi in _permutations(m)]
     full = np.array([n], dtype=np.int64)
     words = np.zeros((n, 4), dtype=np.int64)
     frame_of = np.zeros(n, dtype=np.int64)
-    plane = BackendPlane(0, m, "bnb", batch_window=1, depth=m)
+    plane = BackendPlane(0, m, "bnb", batch_window=1)
 
     def offer(k: int) -> None:
         addresses = perms[k % len(perms)]
@@ -83,7 +83,7 @@ def _vector_cycles_per_sec(m: int, cycles: int) -> float:
         block.tag = k
         plane.offer(block)
 
-    for k in range(m + 1):  # fill the pipeline before the clock starts
+    for k in range(m + 1):  # the object side's warm-up, step for step
         offer(-1 - k)
         plane.step()
     start = time.perf_counter()
@@ -119,9 +119,11 @@ def test_vector_engine_speedup(write_artifact):
     for row in rows:
         assert row["speedup"] > 1.0, row
 
-    # The gateway keeps its saturation behaviour on vector planes.
+    # The gateway keeps its saturation behaviour on one-frame planes.
     gateway = AsyncGateway(
-        GatewayConfig(m=4, planes=1, queue_capacity=16, engine="vector")
+        GatewayConfig(
+            m=4, planes=1, queue_capacity=16, engine="batch", batch_window=1
+        )
     )
     load = 1.0
     gateway_row = drive_open_loop(
@@ -132,7 +134,7 @@ def test_vector_engine_speedup(write_artifact):
     stats = gateway.stats()
     plane = stats["planes"][0]
     assert plane["kind"] == "BackendPlane"
-    assert plane["depth"] == 4
+    assert plane["batch_window"] == 1
     # Every scheduled frame left the plane verified.
     assert plane["frames_delivered"] == stats["scheduler"]["frames"]
 
@@ -144,7 +146,7 @@ def test_vector_engine_speedup(write_artifact):
         "sweep": rows,
         "gateway": {
             "m": 4,
-            "engine": "vector",
+            "engine": "batch",
             "offered_load": load,
             "steady_fill": gateway_row["steady_fill"],
             "words_delivered": gateway_row["words_delivered"],

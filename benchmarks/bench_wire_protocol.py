@@ -12,7 +12,8 @@ and the array-shaped response on the way back.
 
 The bar (see ``benchmarks/out/wire_protocol.json``): sustained
 gateway words/s must be **>= 10x** the JSON-era baseline — the m=3,
-rho=1.0 object-engine open-loop drive of ``bench_gateway_load``,
+rho=1.0 open-loop drive of ``bench_gateway_load`` (the object model,
+one frame per cycle),
 measured in the same run so both sides see the same host speed — with
 the batched kernel exercised at m=6 and verified word-for-word against
 the reference object pipeline
@@ -41,7 +42,7 @@ from repro.core.pipeline import PipelinedBNBFabric
 from repro.core.pipeline_fast import route_frame_batch
 from repro.server import AsyncGateway, GatewayConfig, GatewayServer
 
-from bench_gateway_load import CYCLES, WARMUP, drive_open_loop
+from bench_gateway_load import CYCLES, WARMUP, drive_open_loop, sweep_config
 
 QUICK = bool(os.environ.get("BENCH_WIRE_QUICK"))
 
@@ -65,8 +66,9 @@ def _bursts(batches: int, seed: int = 7) -> list:
 
 def _baseline_words_per_sec() -> float:
     """The m=3, rho=1.0 row of ``bench_gateway_load``'s sweep (object
-    engine, one plane, capacity 16), driven here and now."""
-    gateway = AsyncGateway(GatewayConfig(m=3, planes=1, queue_capacity=16))
+    model, one frame per cycle, one plane, capacity 16), driven here and
+    now."""
+    gateway = AsyncGateway(sweep_config(3))
     row = drive_open_loop(gateway, 1.0, CYCLES, WARMUP)
     assert row["words_delivered"] == row["words_accepted"]
     return row["sustained_words_per_sec"]
@@ -171,7 +173,7 @@ def test_wire_throughput(write_artifact):
         "baseline_words_per_sec": baseline,
         "baseline_source": (
             "bench_gateway_load.drive_open_loop m=3 offered_load=1.0 "
-            "(object engine), measured in this run"
+            "(bnb-object, batch_window=1), measured in this run"
         ),
         "binary": binary,
         "json": via_json,

@@ -67,11 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--network", choices=sorted(ROUTERS), default="bnb"
     )
     route.add_argument(
-        "--fast",
-        action="store_true",
-        help="route on the compiled vectorized numpy path (BNB only)",
-    )
-    route.add_argument(
         "--backend",
         choices=_backend_choices(),
         default=None,
@@ -162,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="host the async traffic gateway over the pipelined fabric",
+        help="host the async traffic gateway over the BNB fabric",
     )
     serve.add_argument("n", type=int, help="network size (power of two)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -180,19 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="give each plane a fault policy: verify, retry, diagnose "
         "with BIST and fail over to a Benes spare (engines whose backend "
-        "supports fault masks: vector, batch, bnb)",
+        "supports fault masks: batch, bnb)",
     )
     serve.add_argument(
         "--engine",
         choices=engine_names(),
-        default="object",
-        help="plane dataplane engine: the reference object model or the "
-        "compiled BNB dataplane on the pipeline's one-frame-per-cycle "
-        "timing (object, vector), the compiled BNB dataplane routing "
-        "whole windows of frames per call (batch; pairs with the binary "
-        "wire framing's send_batch), 'auto' to calibrate the backend "
-        "arena at boot and serve the measured-fastest registered "
-        "backend, or a backend name to pin one",
+        default="batch",
+        help="routing backend of every plane: batch (the compiled BNB "
+        "dataplane, backend bnb), 'auto' to calibrate the backend arena "
+        "at boot and serve the measured-fastest registered backend, or "
+        "a backend name to pin one (bnb-object is the reference object "
+        "model)",
     )
     serve.add_argument(
         "--demo",
@@ -288,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--engine",
         choices=engine_names(),
-        default="vector",
+        default="batch",
         help="plane engine for the in-process gateway",
     )
     replay.add_argument(
@@ -445,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--engine",
         choices=engine_names(),
-        default="object",
+        default="batch",
         help="plane engine for one-shot mode ('auto' or a registered "
         "backend name serves the arena path; see docs/backends.md)",
     )
@@ -471,13 +464,6 @@ def _command_route(args: argparse.Namespace) -> int:
     if args.backend is not None:
         # The registered-backend path: --backend overrides --network,
         # and 'auto' asks the arena for the measured-fastest engine.
-        if args.fast:
-            from .exceptions import InputError
-
-            raise InputError(
-                "--fast is shorthand for the compiled BNB path; it does "
-                "not compose with --backend (use --backend bnb)"
-            )
         import numpy as np
 
         from .backends import compiled_backend, select_backend
@@ -489,24 +475,6 @@ def _command_route(args: argparse.Namespace) -> int:
         request = np.array(pi.to_list(), dtype=np.int64)
         sources = engine.route_frame(request)
         arrived = request[sources].tolist()
-    elif args.fast:
-        # The compiled vectorized path; same verification (route_fast
-        # raises on bad inputs and misdelivery exactly like route) and
-        # the same exit codes as the object path.
-        if args.network != "bnb":
-            from .exceptions import InputError
-
-            raise InputError(
-                f"--fast is the vectorized BNB path; it cannot route "
-                f"the {args.network!r} network"
-            )
-        import numpy as np
-
-        from .core import BNBNetwork
-
-        arrived = BNBNetwork(m).route_fast(
-            np.array(pi.to_list(), dtype=np.int64)
-        ).tolist()
     else:
         route = ROUTERS[args.network](m)
         arrived = [word.address for word in route(pi.to_list())]
@@ -518,11 +486,7 @@ def _command_route(args: argparse.Namespace) -> int:
             dump_json(
                 {
                     "network": args.network,
-                    "engine": (
-                        "backend"
-                        if backend_used is not None
-                        else ("fast" if args.fast else "object")
-                    ),
+                    "engine": "object" if backend_used is None else "backend",
                     "backend": backend_used,
                     "n": args.n,
                     "seed": args.seed,
@@ -539,7 +503,7 @@ def _command_route(args: argparse.Namespace) -> int:
             if args.backend == "auto":
                 label += " (arena winner)"
         else:
-            label = f"{args.network}{' [fast]' if args.fast else ''}"
+            label = args.network
         print(f"network : {label} (N={args.n})")
         print(f"request : {pi.to_list()}")
         print(f"arrived : {arrived}")

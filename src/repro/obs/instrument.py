@@ -12,7 +12,7 @@ which hooks the dataplane offers and which metrics the catalog
   touches its instruments with array operations
   (:meth:`~repro.obs.registry.Histogram.observe_many`) — never once
   per word: at m=8 a frame carries 256 words, and a per-word
-  histogram observe would cost more than the vector engine's whole
+  histogram observe would cost more than the compiled kernel's whole
   routing step.
 * **pull** — everything the components already count (VOQ admission
   totals, scheduler fill, plane health, a resilient plane's fault-policy
@@ -55,9 +55,7 @@ class GatewayInstrumentation:
         self.gateway = gateway
         self.registry = registry if registry is not None else get_registry()
         self.tracer = FrameTracer(
-            gateway.config.m,
-            capacity=trace_capacity,
-            sample_every=trace_sample_every,
+            capacity=trace_capacity, sample_every=trace_sample_every
         )
         self._attached = False
         r = self.registry

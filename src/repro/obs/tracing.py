@@ -5,26 +5,22 @@ A trace follows one scheduled frame through the dataplane::
     enqueue            earliest enqueued_cycle over the frame's words
       └─ coalesce      scheduler builds the frame   (coalesced_cycle)
           └─ dispatch  gateway offers it to a plane (dispatched_cycle)
-              └─ stages  batch crosses stage k at dispatched+1+k
-                  └─ delivery  plane completes + verifies (delivered_cycle)
+              └─ delivery  plane routes + verifies  (delivered_cycle)
 
-The per-stage cycles are not measured, they are *derived*: both
-pipeline engines are stall-free, so a batch entering at cycle ``t``
-crosses stage ``k`` at exactly ``t + 1 + k``
-(``PipelinedBNBFabric.stage_timeline`` pins this).  That determinism
-is what keeps tracing out of the hot loop — the tracer touches a frame
-twice (dispatch, delivery), never per stage and never per word.
+A plane routes a frame in the cycle it takes it, so the tracer touches
+a frame twice (dispatch, delivery), never per stage and never per
+word, which keeps tracing out of the hot loop.
 
 Retention is a ring buffer (``capacity`` most recent completed traces)
 and admission is sampled (every ``sample_every``-th frame tag), so the
-cost on the vector hot path stays within noise;
+cost on the serving hot path stays within noise;
 ``benchmarks/bench_obs_overhead.py`` asserts the <5% budget.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 __all__ = ["FrameTrace", "FrameTracer"]
@@ -42,7 +38,6 @@ class FrameTrace:
     coalesced_cycle: int
     dispatched_cycle: int
     requeues: int = 0
-    stage_cycles: List[int] = field(default_factory=list)
     delivered_cycle: Optional[int] = None
     latency_cycles: Optional[int] = None
     mode: Optional[str] = None  # clean / degraded / failover
@@ -60,7 +55,6 @@ class FrameTrace:
             "enqueued_cycle": self.enqueued_cycle,
             "coalesced_cycle": self.coalesced_cycle,
             "dispatched_cycle": self.dispatched_cycle,
-            "stage_cycles": list(self.stage_cycles),
             "delivered_cycle": self.delivered_cycle,
             "latency_cycles": self.latency_cycles,
             "mode": self.mode,
@@ -79,12 +73,9 @@ class FrameTracer:
     hard-capped so a hook wiring bug cannot leak memory.
     """
 
-    def __init__(
-        self, m: int, capacity: int = 256, sample_every: int = 16
-    ) -> None:
+    def __init__(self, capacity: int = 256, sample_every: int = 16) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.m = m
         self.capacity = capacity
         self.sample_every = max(1, int(sample_every))
         self._completed: deque = deque(maxlen=capacity)
@@ -120,7 +111,6 @@ class FrameTracer:
             coalesced_cycle=coalesced_cycle,
             dispatched_cycle=cycle,
             requeues=requeues,
-            stage_cycles=[cycle + 1 + stage for stage in range(self.m)],
         )
         self.traced_frames += 1
         if len(self._pending) > self._pending_cap:

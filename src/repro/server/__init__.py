@@ -17,20 +17,20 @@ keeps answering it forever, online, for concurrent clients:
   permutation) and idle-fills the rest, laid out as
   :func:`~repro.core.traffic.coalesce_frame` would;
 * :mod:`repro.server.planes` — **fabric planes**: one kind,
-  :class:`~repro.server.planes.BackendPlane`, routes frames through a
-  compiled routing backend and verifies every one in full, either one
-  frame per cycle on the BNB pipeline's ``m``-cycle timing or whole
-  windows per cycle.  A faulty plane drains, its words requeue, and
-  the pool serves on; a resilient plane's
-  :class:`~repro.service.FaultPolicy` instead retries, diagnoses and
-  fails over to a Benes spare, so it survives physical faults;
+  :class:`~repro.server.planes.BackendPlane`, routes a window of
+  frames per cycle through a compiled routing backend and verifies
+  every one in full, in the cycle it takes them.  A faulty plane
+  drains, its words requeue, and the pool serves on; a resilient
+  plane's :class:`~repro.service.FaultPolicy` instead retries,
+  diagnoses and fails over to a Benes spare, so it survives physical
+  faults;
 * :mod:`repro.server.gateway` — the **asyncio dataplane** tying them
   together: ``await gateway.send(dest, payload)`` returns a delivery
   receipt, ``await gateway.send_batch(dests)`` a per-word
   :class:`~repro.server.gateway.BatchResult`; a clock task schedules
-  blocks onto the least-loaded plane, and each delivered block is
-  scattered into its owners' result arrays (or resolves a single
-  send's future);
+  a block onto each healthy plane every cycle, and each delivered
+  block is scattered into its owners' result arrays (or resolves a
+  single send's future);
 * :mod:`repro.server.ops` — the **declarative op registry** every wire
   framing dispatches through (one :class:`~repro.server.ops.OpSpec`
   per protocol operation, stable error-slug mapping);

@@ -4,8 +4,10 @@
 ``await gateway.send(dest, payload)`` (or speak the JSON-lines TCP
 protocol in :mod:`repro.server.protocol`, which lands here); admitted
 words wait in the virtual output queues; a single clock task runs the
-gateway *cycle*: coalesce frames, dispatch them to the least-loaded
-ready plane, step every plane, resolve the futures of delivered words.
+gateway *cycle*: coalesce a block of frames for each healthy plane,
+route and verify every plane's block, resolve the futures of delivered
+words.  A plane routes what it was offered in the cycle it takes it,
+so no frame stays inside a plane between cycles.
 
 Because all fabric work is pure CPU and all shared state is touched
 only between awaits, the gateway needs no locks — the event loop is the
@@ -49,6 +51,7 @@ from .voq import (
     REQUEUES,
     Block,
     VirtualOutputQueues,
+    _validate_tenants,
 )
 
 __all__ = [
@@ -63,16 +66,10 @@ __all__ = [
 #: Builds plane *i* for a gateway of address width *m*.
 PlaneFactory = Callable[[int, int], Any]
 
-#: Engine aliases -> (backend, pipelined).  A pipelined plane keeps the
-#: BNB pipeline's timing: one frame enters per cycle and leaves ``m``
-#: cycles later.  Every other engine — ``"batch"``, ``"auto"`` and each
-#: backend name — routes up to ``batch_window`` frames per cycle and
-#: delivers them the same cycle.
-ENGINE_ALIASES = {
-    "object": ("bnb-object", True),
-    "vector": ("bnb", True),
-    "batch": ("bnb", False),
-}
+#: Engine aliases -> backend.  Every engine names a routing backend;
+#: its planes route up to ``batch_window`` frames per cycle and deliver
+#: them the same cycle.
+ENGINE_ALIASES = {"batch": "bnb"}
 
 
 def engine_names() -> List[str]:
@@ -90,7 +87,7 @@ def resilient_engines() -> List[str]:
         for engine in engine_names()
         if engine != "auto"
         and get_backend_spec(
-            ENGINE_ALIASES.get(engine, (engine, False))[0]
+            ENGINE_ALIASES.get(engine, engine)
         ).supports_fault_mask
     ]
 
@@ -103,26 +100,22 @@ class GatewayConfig:
     planes: int = 1
     queue_capacity: int = 32
     resilient: bool = False
-    #: Dataplane engine; without ``resilient`` every engine serves
-    #: :class:`~repro.server.planes.BackendPlane`\ s.  ``"object"`` (the
-    #: reference object model, backend ``"bnb-object"``) and
-    #: ``"vector"`` (the compiled BNB dataplane, backend ``"bnb"``) keep
-    #: the pipeline's timing: one frame per cycle, delivered ``m``
-    #: cycles later.  ``"batch"`` routes up to ``batch_window`` frames
-    #: per cycle on ``"bnb"`` — the engine behind ``send_batch``
-    #: throughput.  ``"auto"`` runs the backend arena calibration at
-    #: construction and serves the measured-fastest registered backend
-    #: for this ``m``; any registered backend name (``"krbenes"``,
-    #: ``"msorter"``, ...) pins that backend without calibrating (see
-    #: ``docs/backends.md``); both route windows like ``"batch"``.
-    #: With ``resilient``, every plane carries a
-    #: :class:`~repro.service.FaultPolicy` (masked fault kernels,
-    #: batched BIST, ``krbenes`` failover); valid exactly for the
-    #: engines whose backend supports fault masks
-    #: (:func:`resilient_engines`: ``"vector"``, ``"batch"``, ``"bnb"``),
-    #: and at ``N <= 16`` (:data:`~repro.faults.bist.STRICT_COVERAGE_MAX_M`).
-    engine: str = "object"
-    #: Frames a windowed plane routes per cycle in one batched call.
+    #: The routing backend every
+    #: :class:`~repro.server.planes.BackendPlane` serves on.
+    #: ``"batch"`` names the compiled BNB dataplane (backend ``"bnb"``).
+    #: ``"auto"`` runs the backend arena calibration at construction and
+    #: serves the measured-fastest registered backend for this ``m``;
+    #: any registered backend name (``"bnb"``, ``"bnb-object"``,
+    #: ``"krbenes"``, ``"msorter"``, ...) pins that backend without
+    #: calibrating (see ``docs/backends.md``).  With ``resilient``,
+    #: every plane carries a :class:`~repro.service.FaultPolicy`
+    #: (masked fault kernels, batched BIST, ``krbenes`` failover); valid
+    #: exactly for the engines whose backend supports fault masks
+    #: (:func:`resilient_engines`: ``"batch"``, ``"bnb"``), and at
+    #: ``N <= 16`` (:data:`~repro.faults.bist.STRICT_COVERAGE_MAX_M`).
+    engine: str = "batch"
+    #: Frames a plane routes per cycle in one batched call; 1 routes one
+    #: frame per cycle.
     batch_window: int = 32
     #: Weighted QoS classes: ``{"gold": 8, "bronze": 1}`` splits every
     #: destination's VOQ into per-tenant FIFOs drained by deficit-
@@ -175,29 +168,7 @@ class GatewayConfig:
             raise ValueError(
                 f"batch_window must be >= 1, got {self.batch_window}"
             )
-        if self.starvation_cycles < 1:
-            raise ValueError(
-                f"starvation_cycles must be >= 1, "
-                f"got {self.starvation_cycles}"
-            )
-        if self.tenants is not None:
-            if not self.tenants:
-                raise ValueError("tenants must name at least one class")
-            for name, weight in self.tenants.items():
-                if not isinstance(name, str) or not name:
-                    raise ValueError(
-                        f"tenant names must be non-empty strings, "
-                        f"got {name!r}"
-                    )
-                if (
-                    not isinstance(weight, int)
-                    or isinstance(weight, bool)
-                    or weight < 1
-                ):
-                    raise ValueError(
-                        f"tenant {name!r} needs an integer weight >= 1, "
-                        f"got {weight!r}"
-                    )
+        _validate_tenants(self.tenants, self.starvation_cycles)
 
     @property
     def n(self) -> int:
@@ -349,9 +320,7 @@ class AsyncGateway:
         #: The arena decision behind an ``engine="auto"`` choice
         #: (``None`` for every explicit engine).
         self.arena_decision = None
-        backend_name, pipelined = ENGINE_ALIASES.get(
-            config.engine, (config.engine, False)
-        )
+        backend_name = ENGINE_ALIASES.get(config.engine, config.engine)
         if backend_name == "auto":
             # Calibrate on the batch workload: these planes route whole
             # windows.
@@ -359,9 +328,7 @@ class AsyncGateway:
             backend_name = self.arena_decision.backend
         #: Routing backend serving the planes, for stats and metrics.
         self.backend_name: str = backend_name
-        window, depth = (
-            (1, config.m) if pipelined else (config.batch_window, 0)
-        )
+        window = config.batch_window
         if plane_factory is None:
             # Compile (and prewarm the shared plan) here, at
             # construction, so no served frame pays compile latency.
@@ -369,13 +336,12 @@ class AsyncGateway:
             if config.resilient:
                 # A resilient plane routes on its own policy's backend.
                 plane_factory = lambda i, m: BackendPlane(
-                    i, m, batch_window=window, depth=depth,
-                    policy=FaultPolicy(m),
+                    i, m, batch_window=window, policy=FaultPolicy(m)
                 )
             else:
                 backend = compiled_backend(self.backend_name, config.m)
                 plane_factory = lambda i, m: BackendPlane(
-                    i, m, backend=backend, batch_window=window, depth=depth,
+                    i, m, backend=backend, batch_window=window
                 )
         self.planes = [
             plane_factory(i, config.m) for i in range(config.planes)
@@ -778,7 +744,7 @@ class AsyncGateway:
     # ------------------------------------------------------------------
     def _frames_in_flight(self) -> int:
         return sum(
-            plane.load for plane in self.planes if plane.healthy
+            plane.in_flight for plane in self.planes if plane.healthy
         )
 
     def _has_work(self) -> bool:
@@ -818,20 +784,17 @@ class AsyncGateway:
         directly; the clock task calls it between awaits)."""
         self.cycle += 1
         healthy = [plane for plane in self.planes if plane.healthy]
-        # Dispatch: least-loaded ready planes first, while backlog
-        # remains; each takes one block of as many frames as it has free.
-        ready = sorted(
-            (plane for plane in healthy if plane.ready),
-            key=lambda plane: plane.load,
-        )
-        for plane in ready:
+        # Dispatch, while backlog remains: each healthy plane takes one
+        # block of as many frames as it has free.
+        for plane in healthy:
             if not self.voqs.total:
                 break
             block = self.scheduler.next_frame(self.voqs, self.cycle, plane.free)
             plane.offer(block)
             if self.observer is not None:
                 self.observer.on_dispatch(block, plane, self.cycle)
-        # Clock every healthy plane; collect deliveries and casualties.
+        # Clock every healthy plane: each routes and releases its block
+        # now; collect deliveries and casualties.
         for plane in healthy:
             completed, stranded = plane.step()
             for completion in completed:

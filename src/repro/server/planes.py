@@ -8,10 +8,13 @@ BNB object model, KR-Benes, the multiway sorter, or the arena's
 measured winner under ``engine="auto"``; see ``docs/backends.md``).
 Up to ``batch_window`` frames per gateway cycle go through one kernel
 call, every routed frame is verified in full, and verified frames
-leave the plane ``depth`` cycles later.  ``batch_window=1, depth=m``
-is the BNB pipeline's timing (one frame enters per cycle, ``m`` in
-flight); ``depth=0`` with a wider window routes whole windows per
-cycle.
+leave the plane in the cycle that routed them, so a plane holds
+nothing between cycles.  The BNB pipeline's own timing (one frame
+enters per cycle and leaves ``m`` cycles later) has its cycle-accurate
+reference in the object model
+(:meth:`~repro.core.pipeline.PipelinedBNBFabric.stage_timeline`), and
+its delay is an analytic result (Eq. 9) that :mod:`repro.sim`
+measures; no plane waits it out.
 
 Without a fault policy a misdelivery (a physical fault, or a backend
 bug) fails the plane, and its words requeue.  A *resilient* plane
@@ -21,18 +24,16 @@ policy, which retries misrouted words, diagnoses with BIST and fails
 the plane's routing over to the ``krbenes`` spare — so a stuck switch
 degrades the plane instead of failing it.
 
-The gateway's clock loop drives ``free`` / ``ready`` / ``offer`` /
-``step`` / ``kill`` / ``load``.  Frames travel in blocks
-(:class:`~repro.server.voq.Block`): the gateway offers a plane one
-block of as many frames as it has ``free``, and ``step`` hands back
-whole blocks, delivered or stranded.
+The gateway's clock loop drives ``free`` / ``offer`` / ``step`` /
+``kill``.  Frames travel in blocks (:class:`~repro.server.voq.Block`):
+the gateway offers a plane one block of as many frames as it has
+``free``, and ``step`` hands back whole blocks, delivered or stranded.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,15 +68,16 @@ class BackendPlane:
     for every real line ``l``) — one vectorized comparison over the
     whole block, without building a single
     :class:`~repro.core.words.Word`.  Without a *policy*, a failed
-    check kills the plane and requeues everything still inside it —
-    the buffered blocks, the held ones and the bad one itself.  With
-    one, the plane routes on the policy's backend (*backend* is not
-    used), the policy delivers the bad frames, and each frame of a
-    block reports its own delivery mode; only an exhausted fault
-    service (:class:`~repro.exceptions.FaultServiceError`) or a
-    misroute on the spare kills the plane.  The policy books a frame
-    (:meth:`~repro.service.policy.FaultPolicy.book`) when it leaves the
-    plane, so the frames a kill strands are not counted as delivered.
+    check kills the plane and requeues every block it was offered this
+    cycle, the bad one included.  With one, the plane routes on the
+    policy's backend (*backend* is not used), the policy delivers the
+    bad frames, and each frame of a block reports its own delivery
+    mode; only an exhausted fault service
+    (:class:`~repro.exceptions.FaultServiceError`) or a misroute on
+    the spare kills the plane.  The policy books a cycle's frames
+    (:meth:`~repro.service.policy.FaultPolicy.book`) only once every
+    block of the cycle is served, so the frames a kill strands are not
+    counted as delivered.
     """
 
     def __init__(
@@ -84,15 +86,12 @@ class BackendPlane:
         m: int,
         backend: "RoutingBackend | str" = "bnb",
         batch_window: int = 32,
-        depth: int = 0,
         policy: Optional[FaultPolicy] = None,
     ) -> None:
         if batch_window < 1:
             raise ValueError(
                 f"batch_window must be >= 1, got {batch_window}"
             )
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
         self.plane_id = plane_id
         self.m = m
         self.n = 1 << m
@@ -108,24 +107,14 @@ class BackendPlane:
         )
         self.policy = policy
         self.batch_window = batch_window
-        self.depth = depth
         self.healthy = True
         self.failure: Optional[str] = None
         self.frames_delivered = 0
         self.words_delivered = 0
         self.batches_routed = 0
-        # Blocks inside the plane by first tag, oldest first.
-        self._in_flight: Dict[int, Block] = {}
-        self._frames_inside = 0
+        # Blocks offered this cycle, oldest first.
         self._pending: List[Block] = []
         self._pending_frames = 0
-        # Routed, verified blocks waiting out the depth: (due step,
-        # blocks, their completions, the policy's deliveries to book)
-        # groups, oldest first.
-        self._held: Deque[
-            Tuple[int, List[Block], List[CompletedFrame], List[Delivery]]
-        ] = collections.deque()
-        self._steps = 0
         self._lines = np.arange(self.n, dtype=np.int64)
         # Offset of each window row in a flattened (k, n) sources block.
         self._row_starts = np.arange(batch_window, dtype=np.int64)[:, None] * self.n
@@ -138,21 +127,14 @@ class BackendPlane:
 
     @property
     def in_flight(self) -> int:
-        """Frames inside the plane."""
-        return self._frames_inside
+        """Frames inside the plane: those offered this cycle and not yet
+        stepped (0 between cycles)."""
+        return self._pending_frames
 
     @property
     def free(self) -> int:
         """Frames the plane can take this cycle."""
         return self.batch_window - self._pending_frames if self.healthy else 0
-
-    @property
-    def ready(self) -> bool:
-        return self.healthy and self._pending_frames < self.batch_window
-
-    @property
-    def load(self) -> int:
-        return self.in_flight
 
     def offer(self, block: Block) -> None:
         if block.k > self.free:
@@ -161,8 +143,6 @@ class BackendPlane:
             )
         self._pending.append(block)
         self._pending_frames += block.k
-        self._in_flight[block.tag] = block
-        self._frames_inside += block.k
 
     def kill(self, reason: str = "killed") -> List[Block]:
         """Take the plane out of service; return the stranded blocks,
@@ -176,56 +156,39 @@ class BackendPlane:
             return []
         self.healthy = False
         self.failure = reason
-        stranded = list(self._in_flight.values())
-        self._in_flight.clear()
-        self._frames_inside = 0
-        self._pending.clear()
+        stranded, self._pending = self._pending, []
         self._pending_frames = 0
-        self._held.clear()
         return stranded
 
     def step(self) -> Tuple[List[CompletedFrame], List[Block]]:
         """One clock: returns (verified completions, blocks to requeue).
 
-        Routes every buffered frame in one kernel call, then releases
-        the blocks whose depth has elapsed.
+        Routes every block offered this cycle in one kernel call and
+        releases them at once.
         """
-        if not self.healthy or not self._in_flight:
+        if not self.healthy or not self._pending:
             return [], []
-        self._steps += 1
-        if self._pending:
-            blocks, self._pending = self._pending, []
-            self._pending_frames = 0
-            served: List[Delivery] = []
-            try:
-                done = self._route(blocks, served)
-            except (FaultServiceError, MisdeliveryError) as error:
-                return [], self.kill(reason=str(error))
-            self._held.append((self._steps + self.depth, blocks, done, served))
-        completed: List[CompletedFrame] = []
-        held = self._held
-        while held and held[0][0] <= self._steps:
-            _due, blocks, done, served = held.popleft()
-            for block in blocks:
-                del self._in_flight[block.tag]
-                self._frames_inside -= block.k
-                self.frames_delivered += block.k
-                self.words_delivered += block.size
-            for delivery in served:
-                self.policy.book(delivery)
-            completed.extend(done)
-        return completed, []
+        blocks = self._pending
+        served: List[Delivery] = []
+        try:
+            done = self._route(blocks, served)
+        except (FaultServiceError, MisdeliveryError) as error:
+            return [], self.kill(reason=str(error))
+        self.frames_delivered += self._pending_frames
+        self.words_delivered += sum(block.size for block in blocks)
+        self._pending = []
+        self._pending_frames = 0
+        for delivery in served:
+            self.policy.book(delivery)
+        return done, []
 
     def _route(
         self, blocks: List[Block], served: List[Delivery]
     ) -> List[CompletedFrame]:
-        """Route *blocks* in one call; return their completions.
-
-        A lone frame goes through ``route_frame`` (on ``bnb`` a one-row
-        batch of the same kernel); several share one
-        ``route_frame_batch``, as does every call under a resilient
-        plane's fault mask.  A resilient plane's policy deliveries go
-        to *served*.
+        """Route *blocks* in one ``route_frame_batch`` call (a lone
+        frame is a one-row batch); return their completions.  A
+        resilient plane routes under its policy's fault mask, and its
+        policy deliveries go to *served*.
         """
         addresses = (
             blocks[0].addresses
@@ -235,12 +198,11 @@ class BackendPlane:
         backend = self.backend
         policy = self.policy
         mask = None if policy is None else policy.mask
-        if mask is not None:
-            sources = backend.route_frame_batch(addresses, mask=mask)
-        elif len(addresses) == 1:
-            sources = backend.route_frame(addresses[0])[None, :]
-        else:
-            sources = backend.route_frame_batch(addresses)
+        sources = (
+            backend.route_frame_batch(addresses)
+            if mask is None
+            else backend.route_frame_batch(addresses, mask=mask)
+        )
         self.batches_routed += 1
         done: List[CompletedFrame] = []
         offset = 0
@@ -301,8 +263,8 @@ class BackendPlane:
         line ``l`` of every frame ``j`` of *block*: each real word's
         destination received it from its own input line."""
         if block.k == 1:
-            # One frame (the pipelined shape and the unicast case): its
-            # real words ride lines 0 .. count-1.
+            # One frame (the unicast case): its real words ride lines
+            # 0 .. count-1.
             real = block.addresses[0, : block.counts.item(0)]
             wrong = (rows[0].take(real) != self._lines[: len(real)])[None, :]
         else:
@@ -333,7 +295,6 @@ class BackendPlane:
             "engine": "backend",
             "backend": self.backend.name,
             "batch_window": self.batch_window,
-            "depth": self.depth,
             "batches_routed": self.batches_routed,
         }
         if self.policy is not None:

@@ -159,18 +159,33 @@ class Block:
         )
 
 
-def _validate_tenants(tenants: Mapping[str, int]) -> None:
-    if not tenants:
-        raise ValueError("tenants must name at least one class")
-    for name, weight in tenants.items():
-        if not isinstance(name, str) or not name:
-            raise ValueError(
-                f"tenant names must be non-empty strings, got {name!r}"
-            )
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-            raise ValueError(
-                f"tenant {name!r} needs an integer weight >= 1, got {weight!r}"
-            )
+def _validate_tenants(
+    tenants: Optional[Mapping[str, int]], starvation_cycles: int
+) -> None:
+    """Raise ValueError for a bad tenant map (``None`` is untenanted)
+    or a starvation bound below 1; :class:`VirtualOutputQueues` and
+    :class:`~repro.server.gateway.GatewayConfig` share these checks."""
+    if tenants is not None:
+        if not tenants:
+            raise ValueError("tenants must name at least one class")
+        for name, weight in tenants.items():
+            if not isinstance(name, str) or not name:
+                raise ValueError(
+                    f"tenant names must be non-empty strings, got {name!r}"
+                )
+            if (
+                not isinstance(weight, int)
+                or isinstance(weight, bool)
+                or weight < 1
+            ):
+                raise ValueError(
+                    f"tenant {name!r} needs an integer weight >= 1, "
+                    f"got {weight!r}"
+                )
+    if starvation_cycles < 1:
+        raise ValueError(
+            f"starvation_cycles must be >= 1, got {starvation_cycles}"
+        )
 
 
 def _pad_class(array: np.ndarray) -> np.ndarray:
@@ -200,12 +215,7 @@ class VirtualOutputQueues:
         self.n = n
         self.capacity = capacity
         self.tenanted = tenants is not None
-        if tenants is not None:
-            _validate_tenants(tenants)
-            if starvation_cycles < 1:
-                raise ValueError(
-                    f"starvation_cycles must be >= 1, got {starvation_cycles}"
-                )
+        _validate_tenants(tenants, starvation_cycles)
         classes = dict(tenants) if tenants is not None else {DEFAULT_TENANT: 1}
         self.starvation_cycles = starvation_cycles
         self._names: List[str] = list(classes)

@@ -48,29 +48,22 @@ class TestRoute:
         assert sorted(payload["request"]) == list(range(16))
         assert payload["arrived"] == list(range(16))
 
-    def test_route_fast_prose(self, capsys):
-        assert main(["route", "16", "--seed", "3", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "bnb [fast]" in out
-        assert "delivered: True" in out
-
     def test_route_fast_json_matches_object_path(self, capsys):
-        assert main(["route", "16", "--seed", "3", "--fast", "--json"]) == 0
+        """The compiled ``bnb`` backend (the fast path) routes the seeded
+        request exactly as the object model does."""
+        argv = ["route", "16", "--seed", "3", "--json"]
+        assert main([*argv, "--backend", "bnb"]) == 0
         fast = json.loads(capsys.readouterr().out)
-        assert main(["route", "16", "--seed", "3", "--json"]) == 0
+        assert main(argv) == 0
         slow = json.loads(capsys.readouterr().out)
-        assert fast["engine"] == "fast"
+        assert (fast["engine"], fast["backend"]) == ("backend", "bnb")
         # Same seed, same request, same verified outcome either engine.
         assert fast["request"] == slow["request"]
         assert fast["arrived"] == slow["arrived"]
         assert fast["delivered"] is True
 
-    def test_route_fast_non_bnb_exits_2(self, capsys):
-        assert main(["route", "8", "--network", "batcher", "--fast"]) == 2
-        assert "cannot route" in capsys.readouterr().err
-
     def test_route_fast_bad_size_exits_2(self, capsys):
-        assert main(["route", "12", "--fast"]) == 2
+        assert main(["route", "12", "--backend", "bnb"]) == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -106,10 +99,6 @@ class TestRouteBackend:
         assert main(["route", "8", "--backend", "auto"]) == 0
         assert "(arena winner)" in capsys.readouterr().out
 
-    def test_backend_and_fast_conflict_exits_2(self, capsys):
-        assert main(["route", "8", "--backend", "bnb", "--fast"]) == 2
-        assert "--backend" in capsys.readouterr().err
-
     def test_unknown_backend_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["route", "8", "--backend", "nope"])
@@ -133,13 +122,13 @@ class TestRouteBackend:
         from repro.backends import backend_names
 
         parser = build_parser()
-        for engine in ("object", "vector", "batch", "auto") + tuple(
-            backend_names()
-        ):
+        for engine in ("batch", "auto") + tuple(backend_names()):
             args = parser.parse_args(["serve", "8", "--engine", engine])
             assert args.engine == engine
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve", "8", "--engine", "warp"])
+        assert parser.parse_args(["serve", "8"]).engine == "batch"
+        for engine in ("warp", "object", "vector"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", "8", "--engine", engine])
 
     @pytest.mark.parametrize("command", ["serve", "stats", "replay", "cluster"])
     def test_every_engine_flag_offers_the_gateway_engines(self, command):
@@ -270,33 +259,35 @@ class TestServe:
         assert plane["service_state"] == "healthy"
 
     def test_demo_vector_engine(self, capsys):
+        """``--engine bnb`` pins the compiled BNB (vector) dataplane."""
         assert main(
-            ["serve", "8", "--demo", "40", "--engine", "vector", "--json"]
+            ["serve", "8", "--demo", "40", "--engine", "bnb", "--json"]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 40
-        assert stats["engine"] == "vector"
+        assert stats["engine"] == "bnb"
         plane = stats["planes"][0]
-        assert (plane["kind"], plane["backend"], plane["depth"]) == (
+        assert (plane["kind"], plane["backend"], plane["batch_window"]) == (
             "BackendPlane",
             "bnb",
-            3,
+            32,
         )
+        assert plane["in_flight"] == 0 and "depth" not in plane
 
     def test_demo_resilient_vector_composes(self, capsys):
         assert main(
             [
                 "serve", "8", "--demo", "24",
-                "--resilient", "--engine", "vector", "--json",
+                "--resilient", "--engine", "bnb", "--json",
             ]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 24
         plane = stats["planes"][0]
-        assert (plane["kind"], plane["backend"], plane["depth"]) == (
+        assert (plane["kind"], plane["backend"], plane["batch_window"]) == (
             "BackendPlane",
             "bnb",
-            3,
+            32,
         )
         assert plane["service_state"] == "healthy"
 
@@ -317,13 +308,13 @@ class TestServe:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "8", "--resilient"],
+            ["serve", "8", "--resilient", "--engine", "bnb-object"],
             ["serve", "8", "--resilient", "--engine", "msorter"],
             ["serve", "8", "--capacity", "0"],
             ["replay", "8", "--capacity", "0"],
         ],
         ids=[
-            "serve-resilient-object",
+            "serve-resilient-bnb-object",
             "serve-resilient-msorter",
             "serve-capacity",
             "replay-capacity",

@@ -64,7 +64,7 @@ class TestCheckerParsing:
             "Use `repro serve 16 --planes 2` or:\n\n"
             "```console\n"
             "$ repro stats 8 --format prometheus\n"
-            "$ python -m repro route 16 --fast\n"
+            "$ python -m repro route 16 --backend bnb\n"
             "from repro import BNBNetwork   # not an invocation\n"
             "```\n\n"
             "Module paths like `repro.core.plan` never match.\n"
@@ -72,7 +72,7 @@ class TestCheckerParsing:
         tails = [tail for _ctx, tail in check_docs.extract_invocations(text)]
         assert tails == [
             "stats 8 --format prometheus",
-            "route 16 --fast",
+            "route 16 --backend bnb",
             "serve 16 --planes 2",
         ]
 
@@ -109,6 +109,34 @@ class TestCheckerParsing:
         assert len(errors) == 2
         assert any("--no-such-flag" in e for e in errors)
         assert any("frobnicate" in e for e in errors)
+
+    def test_detects_phantom_flag_value(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.md").write_text("run `repro serve 8 --engine vector`\n")
+        errors = check_docs.check_cli(tmp_path)
+        assert len(errors) == 1
+        assert "--engine" in errors[0] and "'vector'" in errors[0]
+
+    def test_value_sets_checked_member_by_member(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.md").write_text(
+            "`repro serve 8 --engine {batch,object}`, "
+            "`repro serve 8 --engine=bnb --resilient` and "
+            "`repro stats 8 --engine ENGINE --format prometheus`\n"
+        )
+        errors = check_docs.check_cli(tmp_path)
+        assert len(errors) == 1
+        assert "'object'" in errors[0]
+
+    def test_changelog_may_name_removed_values(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "CHANGELOG.md").write_text(
+            "`repro serve 8 --engine vector` is now "
+            "`repro serve 8 --engine batch`\n"
+        )
+        assert check_docs.check_cli(tmp_path) == []
 
     def test_external_links_ignored(self, tmp_path):
         docs = tmp_path / "docs"

@@ -1,12 +1,11 @@
-"""The compiled BNB kernels, and the pipeline timing the vector engine
-serves them on.
+"""The compiled BNB kernels, served one frame per cycle.
 
-``--engine vector`` is a :class:`BackendPlane` routing on the ``bnb``
-backend with ``batch_window=1, depth=m``: one frame enters per step
-and leaves ``m`` steps later, the schedule of the object model's
-:class:`PipelinedBNBFabric`.  These tests pin that timing against the
-object engine, and the frame kernels' arrangement against the object
-network.
+A :class:`BackendPlane` routing on the ``bnb`` backend with
+``batch_window=1`` takes one frame per step and delivers it in that
+step; the object model's :class:`PipelinedBNBFabric` delivers the same
+frame ``m`` steps later, after its pipeline fill.  These tests pin
+that offset against the object pipeline, and the frame kernels'
+arrangement against the object network.
 """
 
 import numpy as np
@@ -37,22 +36,26 @@ def _frame(pi, tag):
     return block
 
 
-def _pipeline_plane(m):
-    return BackendPlane(0, m, "bnb", batch_window=1, depth=m)
+def _lone_plane(m):
+    return BackendPlane(0, m, "bnb", batch_window=1)
 
 
 class TestBasicOperation:
     def test_single_batch_latency(self):
-        """Fill latency is m + 1 steps, exactly like the object engine."""
+        """A lone frame leaves the plane in the step that routes it; the
+        object pipeline delivers it after its fill, m + 1 steps."""
         m = 4
-        plane = _pipeline_plane(m)
-        plane.offer(_frame(random_permutation(1 << m, rng=0).to_list(), 7))
-        for _ in range(m):
-            assert plane.step() == ([], [])
+        pi = random_permutation(1 << m, rng=0).to_list()
+        plane = _lone_plane(m)
+        plane.offer(_frame(pi, 7))
         completed, stranded = plane.step()
         assert [c.block.tag for c in completed] == [7]
         assert stranded == []
         assert plane.in_flight == 0
+        obj = PipelinedBNBFabric(m)
+        obj.offer_words(_words(pi, 7), tag=7)
+        delivered = [[tag for tag, _ in obj.step()] for _ in range(m + 1)]
+        assert delivered == [[]] * m + [[7]]
 
     def test_delivery_sorted_with_payload_identity(self):
         """Routed sources put every word on its addressed line, and the
@@ -61,7 +64,7 @@ class TestBasicOperation:
         m = 3
         pi = random_permutation(1 << m, rng=3).to_list()
         words = _words(pi, "t")
-        sources = _pipeline_plane(m).backend.route_frame(np.array(pi))
+        sources = _lone_plane(m).backend.route_frame(np.array(pi))
         outputs = [words[source] for source in sources.tolist()]
         assert [w.address for w in outputs] == list(range(1 << m))
         for line, word in enumerate(outputs):
@@ -69,7 +72,7 @@ class TestBasicOperation:
 
     def test_steady_state_throughput(self):
         m = 3
-        plane = _pipeline_plane(m)
+        plane = _lone_plane(m)
         delivered = 0
         for k in range(40):
             plane.offer(_frame(random_permutation(1 << m, rng=k).to_list(), k))
@@ -77,44 +80,48 @@ class TestBasicOperation:
         while plane.in_flight:
             delivered += len(plane.step()[0])
         assert delivered == plane.frames_delivered == 40
-        # One kernel call per frame: the pipeline's one-frame-per-cycle.
+        # One kernel call per frame: one frame per cycle.
         assert plane.batches_routed == 40
 
     def test_bubbles_pass_through(self):
-        plane = _pipeline_plane(2)
+        plane = _lone_plane(2)
         plane.offer(_frame([1, 0, 3, 2], 0))
         plane.step()
-        for _ in range(5):  # bubbles must not disturb the in-flight frame
-            plane.step()
+        for _ in range(5):  # bubbles must not disturb the delivered frame
+            assert plane.step() == ([], [])
         assert plane.frames_delivered == 1
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_object_engine_cycle_for_cycle(self, m):
-        """Identical offer/step schedules deliver the same frames on the
-        same steps, each arranged as the object pipeline arranges it."""
+        """Identical offer/step schedules deliver the same frames, each
+        on the plane exactly m steps before the object pipeline (its
+        fill), and arranged as the object pipeline arranges it."""
         n = 1 << m
         obj = PipelinedBNBFabric(m)
-        plane = _pipeline_plane(m)
+        plane = _lone_plane(m)
         frames = {}
-        for k in range(3 * m + 4):
-            if k % 3 != 2:  # leave bubbles in the schedule
+        on_plane = {}
+        offers = 3 * m + 4
+        for k in range(offers + m):
+            if k < offers and k % 3 != 2:  # leave bubbles in the schedule
                 pi = random_permutation(n, rng=k).to_list()
                 frames[k] = pi
                 obj.offer_words(_words(pi, k), tag=k)
                 plane.offer(_frame(pi, k))
             done_obj = obj.step()
             done_plane, _ = plane.step()
-            assert [tag for tag, _ in done_obj] == [
-                c.block.tag for c in done_plane
-            ]
+            on_plane.update((c.block.tag, k) for c in done_plane)
             for tag, outputs in done_obj:
+                assert on_plane[tag] == k - m
                 pi = frames[tag]
                 sources = plane.backend.route_frame(np.array(pi))
                 assert [(w.address, w.payload) for w in outputs] == [
                     (pi[source], (tag, source)) for source in sources.tolist()
                 ]
+        assert sorted(on_plane) == sorted(frames)
+        assert obj.in_flight == 0
 
 
 class TestRouteFrameSources:

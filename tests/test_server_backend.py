@@ -50,18 +50,19 @@ class TestConfigValidation:
         assert _config("auto").engine == "auto"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="registered"):
-            _config("warp-drive")
+        for engine in ("warp-drive", "object", "vector"):
+            with pytest.raises(ValueError, match="registered"):
+                _config(engine)
 
     def test_backend_engines_have_no_resilient_variant(self):
-        for engine in ("auto", "msorter", "krbenes", "bnb-object", "object"):
+        for engine in ("auto", "msorter", "krbenes", "bnb-object"):
             with pytest.raises(ValueError, match="no resilient variant"):
                 GatewayConfig(m=3, engine=engine, resilient=True)
 
     def test_fault_mask_support_decides_resilience(self):
         """``resilient=True`` is valid exactly for the engines whose
         backend's registry entry has ``supports_fault_mask``."""
-        assert resilient_engines() == ["vector", "batch", "bnb"]
+        assert resilient_engines() == ["batch", "bnb"]
         for engine in resilient_engines():
             assert GatewayConfig(m=3, engine=engine, resilient=True).resilient
         masked = {spec.name for spec in backend_specs() if spec.supports_fault_mask}
@@ -150,7 +151,7 @@ class TestObservability:
         assert 'repro_backend_info{backend="msorter",m="3"} 1' in text
 
     def test_object_gateway_reports_object_backend(self):
-        gateway = AsyncGateway(GatewayConfig(m=3, engine="object"))
+        gateway = AsyncGateway(GatewayConfig(m=3, engine="bnb-object"))
         instr = GatewayInstrumentation(
             gateway, registry=Registry()
         ).attach()

@@ -18,12 +18,7 @@ from repro.exceptions import (
     InputError,
     PlaneUnavailableError,
 )
-from repro.server import (
-    AsyncGateway,
-    BackendPlane,
-    GatewayConfig,
-    GatewayServer,
-)
+from repro.server import AsyncGateway, GatewayConfig, GatewayServer
 
 pytestmark = pytest.mark.asyncio_suite
 
@@ -149,11 +144,10 @@ class TestSendBatch:
 
     def test_stop_fails_stranded_batch(self, run_async, monkeypatch):
         async def scenario():
-            # Freeze dispatch so the batch stays queued, then stop: the
-            # tracker must fail with GatewayClosedError, not hang.
-            monkeypatch.setattr(
-                BackendPlane, "ready", property(lambda self: False)
-            )
+            # Freeze the clock (every tick a no-op) so the batch stays
+            # queued, then stop: the tracker must fail with
+            # GatewayClosedError, not hang.
+            monkeypatch.setattr(AsyncGateway, "tick", lambda self: None)
             gateway = await AsyncGateway(_batch_config(m=3)).start()
             task = asyncio.ensure_future(
                 gateway.send_batch(np.arange(8, dtype=np.int64))
@@ -194,7 +188,7 @@ class TestBatchEngine:
 
         described = run_async(scenario())
         assert described["backend"] == "bnb"
-        assert described["depth"] == 0
+        assert described["in_flight"] == 0
         assert described["batch_window"] == 16
         assert described["frames_delivered"] == 32
         # The window amortized: far fewer kernel calls than frames.

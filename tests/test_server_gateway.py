@@ -15,7 +15,12 @@ from repro.exceptions import (
     InputError,
 )
 from repro.faults import SwitchCoordinate, fault_mask_for
-from repro.server import AsyncGateway, BackendPlane, GatewayConfig
+from repro.server import (
+    AsyncGateway,
+    BackendPlane,
+    GatewayConfig,
+    engine_names,
+)
 from repro.service import FaultPolicy, ResilientFabric
 
 pytestmark = pytest.mark.asyncio_suite
@@ -63,12 +68,13 @@ class TestBasics:
             GatewayConfig(m=3, queue_capacity=0)
         with pytest.raises(ValueError):
             GatewayConfig(m=3, engine="simd")
-        # Resilience is a fault policy on the bnb planes: the pipelined
-        # and the windowed engine both take it, the object model not.
-        for engine in ("vector", "batch"):
+        # Resilience is a fault policy on the bnb planes: both names of
+        # the compiled BNB dataplane take it, the object model not.
+        for engine in ("batch", "bnb"):
             assert GatewayConfig(m=3, resilient=True, engine=engine).resilient
+        assert GatewayConfig(m=3, resilient=True).engine == "batch"
         with pytest.raises(ValueError, match="no resilient variant"):
-            GatewayConfig(m=3, resilient=True, engine="object")
+            GatewayConfig(m=3, resilient=True, engine="bnb-object")
 
     def test_resilient_config_refuses_sizes_above_16(self):
         """The fault policy's strict BIST schedule exists only up to
@@ -106,19 +112,21 @@ class TestBasics:
                 return gateway.stats()["planes"][0]
 
         def shape(plane):
+            assert "depth" not in plane  # planes hold nothing
             return (
                 plane["kind"],
                 plane["backend"],
                 plane["batch_window"],
-                plane["depth"],
+                plane["in_flight"],
             )
 
-        # (backend, batch_window, depth) follows from the engine alone.
-        assert shape(run_async(scenario("object"))) == (
-            "BackendPlane", "bnb-object", 1, 3,
+        # The backend follows from the engine alone; every plane routes
+        # a window and holds no frame between cycles.
+        assert shape(run_async(scenario("bnb-object"))) == (
+            "BackendPlane", "bnb-object", 32, 0,
         )
-        assert shape(run_async(scenario("vector"))) == (
-            "BackendPlane", "bnb", 1, 3,
+        assert shape(run_async(scenario("bnb"))) == (
+            "BackendPlane", "bnb", 32, 0,
         )
         assert shape(run_async(scenario("batch"))) == (
             "BackendPlane", "bnb", 32, 0,
@@ -127,8 +135,8 @@ class TestBasics:
             "BackendPlane", "krbenes", 32, 0,
         )
         # A resilient plane is the same plane carrying a fault policy.
-        assert shape(run_async(scenario("vector", resilient=True))) == (
-            "BackendPlane", "bnb", 1, 3,
+        assert shape(run_async(scenario("bnb", resilient=True))) == (
+            "BackendPlane", "bnb", 32, 0,
         )
         plane = run_async(scenario("batch", resilient=True))
         assert shape(plane) == ("BackendPlane", "bnb", 32, 0)
@@ -162,11 +170,11 @@ class TestConcurrentDelivery:
         assert stats["queues"]["max_depth"] <= 16
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["object", "vector"])
+    @pytest.mark.parametrize("engine", ["bnb-object", "batch"])
     def test_acceptance_1000_clients_m4(self, run_async, engine):
         """ISSUE acceptance: 1000 concurrent clients at m=4, zero
         misdelivered words, bounded queues under overload — on both
-        the reference object engine and the compiled vector engine."""
+        the reference object model and the compiled BNB dataplane."""
 
         async def client(gateway, rng, cid, receipts):
             for k in range(2):
@@ -205,7 +213,7 @@ class TestConcurrentDelivery:
         assert stats["latency_cycles"]["p99"] is not None
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["batch", "vector"])
+    @pytest.mark.parametrize("engine", ["batch", "bnb"])
     def test_acceptance_1000_clients_resilient_faulted(
         self, run_async, engine
     ):
@@ -260,13 +268,56 @@ class TestConcurrentDelivery:
         # The quarantined plane kept serving, on the Benes spare.
         assert stats["planes"][0]["backend"] == "krbenes"
         assert stats["planes"][1]["backend"] == "bnb"
-        # Admission never passed the bound; only the killed plane's
-        # in-flight words, requeued at the head, may sit above it.  A
-        # vector plane (depth m = 4) holds up to m + 1 frames, each with
-        # at most one word per destination; a batch plane (depth 0)
-        # holds none between cycles, when the chaos task kills it.
-        stranded = 4 + 1 if engine == "vector" else 0
-        assert stats["queues"]["max_depth"] <= 64 + stranded
+        # Admission never passed the bound: a plane holds no frame
+        # between cycles, when the chaos task kills it, so no requeued
+        # word sits above it.
+        assert stats["queues"]["max_depth"] <= 64
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_no_plane_holds_a_frame_between_cycles(self, run_async, engine):
+        """Every engine routes what a plane takes in the cycle it takes
+        it: after every tick of a tenanted gateway under backpressure,
+        with retries, no plane holds a frame."""
+
+        async def scenario():
+            config = GatewayConfig(
+                m=3, planes=2, queue_capacity=4, engine=engine,
+                tenants={"gold": 3, "bronze": 1},
+            )
+            gateway = AsyncGateway(config)
+            held = []
+            tick = gateway.tick
+
+            def checked_tick():
+                tick()
+                held.append([plane.in_flight for plane in gateway.planes])
+
+            gateway.tick = checked_tick
+            rng = random.Random(5)
+            async with gateway:
+                await asyncio.gather(
+                    *(
+                        gateway.send_batch(
+                            [rng.randrange(8) for _ in range(40)],
+                            retry_attempts=64,
+                            tenant=tenant,
+                        )
+                        for tenant in ("gold", "bronze", "gold")
+                    ),
+                    *(
+                        gateway.send_with_retry(
+                            rng.randrange(8), attempts=64, tenant="bronze"
+                        )
+                        for _ in range(20)
+                    ),
+                )
+                stats = gateway.stats()
+            return held, stats
+
+        held, stats = run_async(scenario())
+        assert held and all(frames == [0, 0] for frames in held)
+        assert stats["delivered_words"] == 140
+        assert stats["queues"]["rejected"] > 0  # the retries were needed
 
     def test_wait_cycles_advances_even_when_idle(self, run_async):
         async def scenario():
@@ -325,26 +376,53 @@ class TestBackpressure:
         assert second.payload == "b"
 
 
+class _KillOnDispatch:
+    """A gateway observer that kills plane 0 through the operator API
+    inside the cycle of its *nth* dispatch: after the plane takes its
+    block and before it routes it, the only time a plane holds words."""
+
+    def __init__(self, gateway, nth):
+        self.gateway = gateway
+        self.nth = nth
+        self.stranded = None
+
+    def on_dispatch(self, block, plane, cycle):
+        if plane.plane_id == 0:
+            self.nth -= 1
+            if self.nth == 0:
+                self.stranded = self.gateway.kill_plane(0, reason="test kill")
+
+    def on_reject(self, hints):
+        pass
+
+    def on_frame_delivered(self, completion, cycle, max_latency):
+        pass
+
+    def on_requeue(self, plane, blocks):
+        pass
+
+    def on_plane_killed(self, plane):
+        pass
+
+
 class TestPlaneFailure:
     def test_operator_kill_mid_run_keeps_delivery_total(self, run_async):
         async def scenario():
             config = GatewayConfig(m=3, planes=2, queue_capacity=16)
             rng = random.Random(11)
             async with AsyncGateway(config) as gateway:
-                tasks = [
-                    asyncio.ensure_future(
+                # Let traffic get airborne, then kill a plane under it.
+                killer = gateway.observer = _KillOnDispatch(gateway, nth=3)
+                receipts = await asyncio.gather(
+                    *(
                         gateway.send_with_retry(
                             rng.randrange(8), payload=index, attempts=64
                         )
+                        for index in range(300)
                     )
-                    for index in range(300)
-                ]
-                # Let traffic get airborne, then kill a plane under it.
-                await gateway.wait_cycles(3)
-                stranded = gateway.kill_plane(0, reason="test kill")
-                receipts = await asyncio.gather(*tasks)
+                )
                 stats = gateway.stats()
-            return stranded, receipts, stats
+            return killer.stranded, receipts, stats
 
         stranded, receipts, stats = run_async(scenario())
         assert all(
@@ -361,14 +439,13 @@ class TestPlaneFailure:
     def test_faulty_plane_auto_quarantines_on_misdelivery(
         self, run_async, stuck_switch_backend
     ):
-        async def scenario(window, depth):
+        async def scenario(window):
             def factory(plane_id, m):
                 # Plane 0 has a late-stage stuck switch: reliably
                 # misroutes.
                 backend = stuck_switch_backend(m) if plane_id == 0 else "bnb"
                 return BackendPlane(
-                    plane_id, m, backend=backend,
-                    batch_window=window, depth=depth,
+                    plane_id, m, backend=backend, batch_window=window
                 )
 
             config = GatewayConfig(m=3, planes=2, queue_capacity=16)
@@ -385,9 +462,9 @@ class TestPlaneFailure:
                 stats = gateway.stats()
             return receipts, stats
 
-        # Both plane shapes: the pipeline's timing and a window.
-        for window, depth in ((1, 3), (8, 0)):
-            receipts, stats = run_async(scenario(window, depth))
+        # One frame per cycle, and a window.
+        for window in (1, 8):
+            receipts, stats = run_async(scenario(window))
             # 100% delivery despite the physical fault...
             assert all(
                 receipt.payload == index
@@ -442,9 +519,10 @@ class TestPlaneFailure:
     def test_resilient_vector_plane_absorbs_fault_without_dying(
         self, run_async
     ):
-        """The pipelined twin of the test above: a window-1 resilient
-        plane seeded with a fault mask quarantines its primary and keeps
-        delivering via the Benes spare."""
+        """The one-frame-per-cycle twin of the test above: a window-1
+        resilient plane on the compiled BNB dataplane seeded with a
+        fault mask quarantines its primary and keeps delivering via the
+        Benes spare."""
 
         def factory(plane_id, m):
             mask = (
@@ -453,14 +531,13 @@ class TestPlaneFailure:
                 else None
             )
             return BackendPlane(
-                plane_id, m, batch_window=1, depth=m,
-                policy=FaultPolicy(m, mask=mask),
+                plane_id, m, batch_window=1, policy=FaultPolicy(m, mask=mask)
             )
 
         async def scenario():
             config = GatewayConfig(
                 m=3, planes=2, queue_capacity=16, resilient=True,
-                engine="vector",
+                engine="bnb", batch_window=1,
             )
             rng = random.Random(17)
             async with AsyncGateway(config, plane_factory=factory) as gateway:
@@ -480,13 +557,13 @@ class TestPlaneFailure:
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
         assert stats["planes"][0]["healthy"] is True
-        assert stats["planes"][0]["depth"] == 3
+        assert stats["planes"][0]["batch_window"] == 1
         assert stats["planes"][0]["service_state"] == "quarantined"
         assert stats["planes"][1]["service_state"] == "healthy"
         modes = stats["delivery_modes"]
         assert modes.get("failover", 0) + modes.get("degraded", 0) > 0
 
-    @pytest.mark.parametrize("engine", ["batch", "vector"])
+    @pytest.mark.parametrize("engine", ["batch", "bnb"])
     def test_inject_fault_quarantines_live_plane(self, run_async, engine):
         """Operator fault injection through the gateway API: the target
         plane walks detection -> quarantine -> failover while every
@@ -576,25 +653,6 @@ class TestShutdown:
                 result, (AdmissionRejectedError, GatewayClosedError)
             )
         assert stats["queues"]["queued"] == 0
-
-    def test_stop_without_drain_fails_words_inside_planes(self, run_async):
-        """A word riding a pipelined plane when the gateway stops
-        without draining can never be delivered: its sender gets
-        GatewayClosedError instead of waiting forever."""
-
-        async def scenario():
-            config = GatewayConfig(m=3, planes=1, engine="vector")
-            gateway = AsyncGateway(config)
-            await gateway.start()
-            task = asyncio.ensure_future(gateway.send(5, payload="x"))
-            await asyncio.sleep(0)  # admitted
-            await gateway.wait_cycles(1)  # dispatched, m cycles to go
-            assert gateway.planes[0].in_flight == 1
-            await gateway.stop(drain=False)
-            with pytest.raises(GatewayClosedError):
-                await asyncio.wait_for(task, 5.0)
-
-        run_async(scenario())
 
     def test_stats_are_json_safe(self, run_async):
         import json

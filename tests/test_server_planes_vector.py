@@ -1,9 +1,8 @@
-"""The one serving plane: both shapes, total verification, containment.
+"""The one serving plane: windows, total verification, containment.
 
-:class:`~repro.server.BackendPlane` runs in two shapes (the
-``plane_shape`` fixture): the BNB pipeline's timing — one frame per
-cycle, delivered ``m`` cycles later — and a window of frames routed and
-delivered in one cycle.  Either way every routed frame is verified in
+:class:`~repro.server.BackendPlane` routes what it was offered in the
+cycle it takes it, one frame per cycle or a window of frames (the
+``plane_shape`` fixture).  Either way every routed frame is verified in
 full, so a single misplaced word on any frame kills the plane and its
 words requeue onto the survivors.
 """
@@ -26,15 +25,14 @@ from repro.server.voq import OWNER
 pytestmark = pytest.mark.asyncio_suite
 
 
-@pytest.fixture(params=["pipelined", "windowed"])
+@pytest.fixture(params=["single", "windowed"])
 def plane_shape(request):
-    """The two plane shapes, as a function of ``m`` returning
-    constructor keywords: the BNB pipeline's timing (one frame per
-    cycle, held ``m`` cycles) and a window of 8 frames per cycle
-    delivered at once."""
-    if request.param == "pipelined":
-        return lambda m: {"batch_window": 1, "depth": m}
-    return lambda m: {"batch_window": 8, "depth": 0}
+    """Two plane windows, as a function of ``m`` returning constructor
+    keywords: one frame per cycle, and a window of 8 frames per
+    cycle."""
+    if request.param == "single":
+        return lambda m: {"batch_window": 1}
+    return lambda m: {"batch_window": 8}
 
 
 def _full_frame(scheduler, voqs, n, cycle=1):
@@ -80,38 +78,12 @@ class TestBackendPlane:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             BackendPlane(0, 3, batch_window=0)
-        with pytest.raises(ValueError):
-            BackendPlane(0, 3, depth=-1)
-
-    def test_pipelined_shape_holds_frames_m_steps(self):
-        m, n = 3, 8
-        plane = BackendPlane(0, m, batch_window=1, depth=m)
-        scheduler = FrameScheduler(n)
-        voqs = VirtualOutputQueues(n, 16)
-        delivered_at = {}
-        for step in range(1, 7):
-            if step <= 4:
-                frame = _full_frame(scheduler, voqs, n, cycle=step)
-                plane.offer(frame)
-                assert not plane.ready  # one frame per cycle
-            completed, requeue = plane.step()
-            assert not requeue
-            for completion in completed:
-                delivered_at[completion.block.tag] = step
-            if step == m:
-                assert plane.in_flight == m  # m frames in the pipeline
-        assert delivered_at == {0: 1 + m, 1: 2 + m, 2: 3 + m}
-        assert plane.batches_routed == 4
-        info = plane.describe()
-        assert (info["kind"], info["backend"], info["depth"]) == (
-            "BackendPlane",
-            "bnb",
-            m,
-        )
+        with pytest.raises(TypeError):
+            BackendPlane(0, 3, depth=3)  # planes hold nothing
 
     def test_windowed_shape_routes_a_window_per_step(self):
         m, n = 3, 8
-        plane = BackendPlane(0, m, batch_window=8, depth=0)
+        plane = BackendPlane(0, m, batch_window=8)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
         for cycle in range(5):
@@ -122,20 +94,29 @@ class TestBackendPlane:
         assert plane.batches_routed == 1
         assert plane.in_flight == 0
         assert plane.words_delivered == 5 * n
+        info = plane.describe()
+        assert (info["kind"], info["backend"], info["in_flight"]) == (
+            "BackendPlane",
+            "bnb",
+            0,
+        )
+        assert "depth" not in info
 
-    def test_kill_strands_buffered_and_held_frames(self):
+    def test_kill_strands_offered_frames(self):
         m, n = 3, 8
-        plane = BackendPlane(0, m, batch_window=1, depth=m)
+        plane = BackendPlane(0, m, batch_window=4)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
-        for cycle in range(2):
+        plane.offer(_full_frame(scheduler, voqs, n, cycle=0))
+        plane.step()  # routed and released in the same step
+        assert plane.in_flight == 0 and plane.frames_delivered == 1
+        for cycle in (1, 2):
             plane.offer(_full_frame(scheduler, voqs, n, cycle=cycle))
-            plane.step()  # routed and held
-        plane.offer(_full_frame(scheduler, voqs, n, cycle=2))  # buffered
+        assert plane.in_flight == 2
         stranded = plane.kill(reason="test")
-        assert [block.tag for block in stranded] == [0, 1, 2]  # oldest first
-        assert sum(block.size for block in stranded) == 3 * n
-        assert plane.in_flight == 0 and not plane.ready
+        assert [block.tag for block in stranded] == [1, 2]  # oldest first
+        assert sum(block.size for block in stranded) == 2 * n
+        assert plane.in_flight == 0 and plane.free == 0
         assert plane.step() == ([], [])
         assert plane.kill() == []  # idempotent
 
@@ -154,14 +135,16 @@ class TestBackendPlane:
                 steps.append(plane.step())
         if plane.batch_window > 1:  # both frames in one window
             steps.append(plane.step())
-        assert not any(completed for completed, _requeue in steps)
         assert plane.healthy is False
         assert "misdelivered" in plane.failure
         assert f"outputs [{n - 1}]" in plane.failure
-        # The bad frame's words requeue, with everything else inside.
-        requeue = steps[-1][1]
-        assert frames[1] in requeue
-        assert sum(block.size for block in requeue) == 2 * n
+        # The bad frame's words requeue, with everything offered in
+        # its cycle; a frame routed in an earlier cycle was delivered.
+        *earlier, (completed, requeue) = steps
+        assert not completed
+        delivered = [c.block for done, _requeue in earlier for c in done]
+        assert delivered + requeue == frames
+        assert len(requeue) == (1 if plane.batch_window == 1 else 2)
 
 
 class _DeliveryLog:
@@ -260,9 +243,13 @@ class TestContainment:
         bad = set(log.dispatched[0][1])
         assert bad <= set(log.requeued)
         assert all(r.requeues >= 1 for r in receipts if r.payload in bad)
-        # ...and the other plane delivered every word to its sender.
+        # ...and every word reached its sender: the survivor delivered
+        # all of them but the frames the dead plane routed in a cycle
+        # before its bad one (one frame per cycle: its first frame).
         assert all(
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
         assert survivor["healthy"] is True
-        assert survivor["words_delivered"] == 200
+        early = len(log.dispatched[0][0]) if dead["batch_window"] == 1 else 0
+        assert dead["words_delivered"] == early
+        assert survivor["words_delivered"] == 200 - early

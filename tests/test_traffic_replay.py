@@ -118,7 +118,7 @@ class TestTraceRoundTrip:
 class TestReplay:
     def replay(self, scenario, *, tenants=None, events=256, **kwargs):
         config = GatewayConfig(
-            m=3, queue_capacity=32, engine="vector", tenants=tenants
+            m=3, queue_capacity=32, engine="batch", tenants=tenants
         )
 
         async def run():

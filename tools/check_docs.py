@@ -1,6 +1,6 @@
 """Consistency checks for the documentation set.
 
-Three classes of drift this catches, each of which has actually
+Four classes of drift this catches, each of which has actually
 happened to projects this size:
 
 1. **Dead cross-links** — every relative markdown link in the docs
@@ -8,7 +8,12 @@ happened to projects this size:
 2. **Phantom CLI flags** — every ``--flag`` written in a documented
    ``repro`` invocation must exist on that subcommand's argparse
    parser (the parser is the source of truth: `repro.cli.build_parser`).
-3. **Phantom subcommands** — every ``repro <sub>`` / ``python -m repro
+3. **Phantom flag values** — a documented value of a flag whose
+   argparse action has ``choices`` (``--engine batch``,
+   ``--engine=bnb``, each member of ``--engine {batch,bnb}``) must be
+   one of them.  Upper-case placeholders (``--engine ENGINE``) pass,
+   and CHANGELOG.md is exempt: it records values that were removed.
+4. **Phantom subcommands** — every ``repro <sub>`` / ``python -m repro
    <sub>`` in a fenced code block or inline code span must name a real
    subparser.
 
@@ -33,10 +38,13 @@ import argparse
 import pathlib
 import re
 import sys
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: The documentation set under check: all of docs/ plus these roots.
 TOP_LEVEL_DOCS = ("README.md", "CHANGELOG.md")
+#: Documents whose flag values are not checked: the changelog names
+#: values that later releases removed.
+VALUE_EXEMPT_DOCS = ("CHANGELOG.md",)
 
 _FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 _SPAN_RE = re.compile(r"`([^`]+)`", re.DOTALL)
@@ -79,10 +87,11 @@ def check_links(repo_root: pathlib.Path) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# 2 + 3. CLI invocations vs the argparse source of truth
+# 2-4. CLI invocations vs the argparse source of truth
 # ----------------------------------------------------------------------
-def cli_surface() -> Dict[str, Set[str]]:
-    """subcommand -> set of option strings, from the real parser."""
+def cli_surface() -> Dict[str, Dict[str, Optional[Set[str]]]]:
+    """subcommand -> {option string: its choices as strings, or None
+    when any value goes}, from the real parser."""
     from repro.cli import build_parser
 
     parser = build_parser()
@@ -91,12 +100,18 @@ def cli_surface() -> Dict[str, Set[str]]:
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
-    surface: Dict[str, Set[str]] = {}
+    surface: Dict[str, Dict[str, Optional[Set[str]]]] = {}
     for subaction in subactions:
         for name, subparser in subaction.choices.items():
-            flags: Set[str] = set()
+            flags: Dict[str, Optional[Set[str]]] = {}
             for action in subparser._actions:
-                flags.update(action.option_strings)
+                choices = (
+                    None
+                    if action.choices is None
+                    else {str(choice) for choice in action.choices}
+                )
+                for flag in action.option_strings:
+                    flags[flag] = choices
             surface[name] = flags
     return surface
 
@@ -143,11 +158,25 @@ def _clean_tokens(tail: str) -> List[str]:
     return tokens
 
 
+def _bad_values(value: str, choices: Set[str]) -> List[str]:
+    """The members of a documented flag *value* (``a`` or ``{a,b}``)
+    outside *choices*; upper-case placeholders and a following flag
+    (no value written) are not values."""
+    if value.startswith("-"):
+        return []
+    return [
+        member
+        for member in value.strip("{}").split(",")
+        if member and not member.isupper() and member not in choices
+    ]
+
+
 def check_cli(repo_root: pathlib.Path) -> List[str]:
     surface = cli_surface()
     errors: List[str] = []
     for path in doc_paths(repo_root):
         rel = path.relative_to(repo_root)
+        check_values = str(rel) not in VALUE_EXEMPT_DOCS
         for _context, tail in extract_invocations(path.read_text()):
             tokens = _clean_tokens(tail)
             if not tokens:
@@ -164,14 +193,25 @@ def check_cli(repo_root: pathlib.Path) -> List[str]:
                     f"exist (have: {', '.join(sorted(surface))})"
                 )
                 continue
-            known = surface[head] | {"-h", "--help"}
-            for token in tokens[1:]:
+            flags = surface[head]
+            for token, following in zip(tokens[1:], tokens[2:] + [""]):
                 if not token.startswith("--"):
                     continue  # positional / placeholder
-                flag = token.split("=", 1)[0]
-                if flag not in known:
+                flag, inline, value = token.partition("=")
+                if flag not in flags:
                     errors.append(
                         f"{rel}: 'repro {head}' has no flag {flag}"
+                    )
+                    continue
+                choices = flags[flag]
+                if choices is None or not check_values:
+                    continue
+                if not inline:
+                    value = following
+                for member in _bad_values(value, choices):
+                    errors.append(
+                        f"{rel}: 'repro {head} {flag}' has no value "
+                        f"{member!r} (choices: {', '.join(sorted(choices))})"
                     )
     return errors
 

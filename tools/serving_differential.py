@@ -10,10 +10,10 @@ with the same receipts, ``stats()`` counters, Prometheus series and
 frame traces.  The scenarios use only the public gateway API
 (``send_batch``, ``send_with_retry``, ``kill_plane``, ``stats`` and the
 instrumentation), so any release since 2.0.0 runs them.  They cover the
-``batch``, ``vector`` and ``msorter`` engines, one to three planes,
-rejections with server-side retries, a mid-run kill of a pipelined
-plane that strands words, and two or three tenant classes with unequal
-weights, starvation rescues included.
+``batch`` and ``msorter`` engines, windows of one to eight frames, one
+to three planes, rejections with server-side retries, a mid-run plane
+kill, and two or three tenant classes with unequal weights, starvation
+rescues included.
 
 Every tenant first queues one word at every destination, in
 registration order: since 2.1.0 credit ties go to the class registered
@@ -38,13 +38,13 @@ from repro.server import AsyncGateway, GatewayConfig
 #: starvation cycles)
 SCENARIOS = {
     "batch_tenants": ("batch", 4, 2, 8, {"gold": 5, "bronze": 2}, None, 11, 8, 1024),
-    "vector_kill_tenants": (
-        "vector", 3, 2, 6, {"gold": 3, "bronze": 1, "iron": 7}, 9, 12, 8, 1024
+    "window1_kill_tenants": (
+        "batch", 3, 2, 6, {"gold": 3, "bronze": 1, "iron": 7}, 9, 12, 1, 1024
     ),
     "msorter": ("msorter", 4, 3, 5, None, None, 13, 8, 1024),
-    "vector_kill": ("vector", 4, 3, 16, None, 5, 14, 8, 1024),
+    "window1_kill": ("batch", 4, 3, 16, None, 5, 14, 1, 1024),
     "batch_window_3": ("batch", 3, 1, 4, {"a": 100, "b": 1}, None, 15, 3, 1024),
-    "vector_rescue": ("vector", 3, 2, 12, {"a": 100, "b": 1, "c": 3}, 7, 18, 8, 2),
+    "window1_rescue": ("batch", 3, 2, 12, {"a": 100, "b": 1, "c": 3}, 7, 18, 1, 2),
     "batch_rescue": ("batch", 4, 1, 12, {"a": 50, "b": 1}, None, 19, 8, 3),
 }
 
