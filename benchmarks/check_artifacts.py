@@ -520,6 +520,53 @@ def check_kernel(data: Dict[str, Any], name: str, errors: List[str]) -> None:
         )
 
 
+def check_voq_pop(data: Dict[str, Any], name: str, errors: List[str]) -> None:
+    """The ``bench_voq_pop.py`` bar: table pop vs loop pop."""
+    for key in (
+        "clock",
+        "speedup_bar",
+        "n",
+        "tenants",
+        "capacity",
+        "window",
+        "rounds",
+        "table_us_per_pop",
+        "loop_us_per_pop",
+        "speedup_median",
+        "speedup_q1",
+        "speedup_q3",
+        "speedup_iqr",
+        "blocks_match",
+    ):
+        _require(key in data, name, f"missing {key!r}", errors)
+    _require(
+        data.get("rounds", 0) >= 15,
+        name,
+        f"ran {data.get('rounds')!r} rounds (< 15 interleaved pairs)",
+        errors,
+    )
+    _require(
+        len(data.get("tenants") or {}) >= 2,
+        name,
+        "the table pick needs two or more tenant classes",
+        errors,
+    )
+    _require(
+        data.get("blocks_match") is True,
+        name,
+        "table and loop pops composed different blocks",
+        errors,
+    )
+    if "speedup_bar" in data:
+        _require(
+            data.get("speedup_median", 0.0) >= data["speedup_bar"],
+            name,
+            f"median speedup {data.get('speedup_median')!r} below the "
+            f"{data['speedup_bar']}x bar",
+            errors,
+        )
+
+
 SCHEMAS: Dict[str, Callable[[Any, str, List[str]], None]] = {
     "gateway_load.json": check_gateway_load,
     "gateway_plane_kill.json": check_gateway_plane_kill,
@@ -532,6 +579,7 @@ SCHEMAS: Dict[str, Callable[[Any, str, List[str]], None]] = {
     "backend_arena.json": check_backend_arena,
     "traffic_scenarios.json": check_traffic_scenarios,
     "kernel.json": check_kernel,
+    "voq_pop.json": check_voq_pop,
 }
 
 

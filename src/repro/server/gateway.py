@@ -398,7 +398,7 @@ class AsyncGateway:
         """Stop accepting; optionally serve out the backlog first."""
         self._accepting = False
         if drain and self._clock_task is not None:
-            while self.voqs.total or self._frames_in_flight():
+            while self.voqs.total:
                 self._work.set()
                 await asyncio.sleep(0)
                 if not any(plane.healthy for plane in self.planes):
@@ -461,7 +461,7 @@ class AsyncGateway:
     def _drain_hint_cycles(self) -> int:
         """Retry-after for words bounced by a drain: the backlog the
         node must serve out before it can plausibly rejoin."""
-        return max(1, self.voqs.total + self._frames_in_flight())
+        return max(1, self.voqs.total)
 
     # ------------------------------------------------------------------
     # Client API
@@ -743,14 +743,15 @@ class AsyncGateway:
     # The clock
     # ------------------------------------------------------------------
     def _frames_in_flight(self) -> int:
+        """Frames inside healthy planes, for the ``drain`` reply: 0
+        between cycles, since every plane routes what it takes in the
+        cycle it takes it, so nothing else needs the sum."""
         return sum(
             plane.in_flight for plane in self.planes if plane.healthy
         )
 
     def _has_work(self) -> bool:
-        return bool(
-            self.voqs.total or self._frames_in_flight() or self._cycle_waiters
-        )
+        return bool(self.voqs.total or self._cycle_waiters)
 
     async def _run_clock(self) -> None:
         try:
@@ -795,18 +796,23 @@ class AsyncGateway:
                 self.observer.on_dispatch(block, plane, self.cycle)
         # Clock every healthy plane: each routes and releases its block
         # now; collect deliveries and casualties.
+        requeue: List[Block] = []
         for plane in healthy:
             completed, stranded = plane.step()
             for completion in completed:
                 self._resolve(completion)
             if stranded:
-                self.voqs.requeue_front(stranded)
+                requeue.extend(stranded)
                 if self.observer is not None:
                     self.observer.on_requeue(plane, stranded)
             # A plane that was healthy entering the tick and is not now
             # was killed by its own step(); report it exactly once.
             if not plane.healthy and self.observer is not None:
                 self.observer.on_plane_killed(plane)
+        # One requeue, oldest plane first: the planes took their blocks
+        # in this order, so each FIFO gets its words back oldest first.
+        if requeue:
+            self.voqs.requeue_front(requeue)
         # Release cycle waiters that reached their target.
         if self._cycle_waiters:
             still_waiting = []

@@ -29,9 +29,13 @@ that gives a weight-8 tenant 8× the service of a weight-1 tenant
 sharing the same hot output, plus an age override so no class can be
 starved past ``starvation_cycles`` of relative delay.  Ties go to the
 class registered first (configuration order, then first seen).  With
-one class the pick is trivial and a whole block composes in one pass;
-with two or more the block is built frame by frame, each frame's pick
-vectorized across destinations.
+one class the pick is trivial and a whole block composes in one pass.
+With two or more, a destination's class sequence over a block is a
+pure function of the block's frame count and each class's FIFO length
+and credit, so it comes from a memo table filled lazily, one lookup
+per distinct key across destinations.  The frame-by-frame loop stays
+as the reference, and runs instead whenever a key does not fit an
+int64 or the age override could fire within the block.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ _ONE_WORD = np.ones(1, dtype=np.int64)
 _FRAME_ZERO = np.zeros(1, dtype=np.int64)
 _ONE_WORD.flags.writeable = False
 _FRAME_ZERO.flags.writeable = False
+
+#: Rows the tenant pick memo holds before it starts over.
+_MEMO_ROWS = 4096
+#: Widest block the memo stores; a wider one takes the loop.
+_MEMO_FRAMES = 256
+#: The memo's end-of-keys sentinel: every encodable key is below it.
+_NO_KEY = np.iinfo(np.int64).max
 
 
 class Block:
@@ -193,6 +204,112 @@ def _pad_class(array: np.ndarray) -> np.ndarray:
     return np.concatenate([array, np.zeros_like(array[:1])])
 
 
+class _PickMemo:
+    """One destination's weighted class sequence over a block, by key.
+
+    A key encodes (frames, each class's FIFO length capped at
+    ``frames + 1``, each class's credit) as one int64 below
+    :data:`_NO_KEY`.  Its row holds, for each frame, the class picked
+    and the pick's rank within its class (its offset from the class's
+    head), and per class the words taken and the final credit.
+    ``keys`` is sorted and ends in :data:`_NO_KEY`, with the row of
+    each key in ``index``, so looking up every destination's key is
+    one ``searchsorted``; a miss runs :meth:`_fill`, the scalar rule,
+    once per distinct key.  Everything is a small-int array with a
+    fixed row cap: misses that would pass it clear the memo first.
+    """
+
+    __slots__ = (
+        "weights",
+        "width",
+        "keys",
+        "index",
+        "pick",
+        "rank",
+        "taken",
+        "credit",
+    )
+
+    def __init__(self, weights: List[int], width: int) -> None:
+        classes = len(weights)
+        self.weights = weights
+        self.width = width
+        self.keys = np.array([_NO_KEY], dtype=np.int64)
+        self.index = np.array([-1], dtype=np.int64)
+        self.pick = np.zeros((_MEMO_ROWS, width), dtype=np.int8)
+        self.rank = np.zeros((_MEMO_ROWS, width), dtype=np.uint8)
+        self.taken = np.zeros((_MEMO_ROWS, classes), dtype=np.int16)
+        self.credit = np.zeros((_MEMO_ROWS, classes), dtype=np.int64)
+
+    def rows(
+        self,
+        frames: int,
+        keys: np.ndarray,
+        lengths: np.ndarray,
+        credits: np.ndarray,
+    ) -> Optional[np.ndarray]:
+        """The row of each of *keys*, where key ``i`` stands for the
+        capped ``lengths[:, i]`` and ``credits[:, i]``; ``None`` when
+        they hold more distinct keys than the memo has rows."""
+        at = np.searchsorted(self.keys, keys)
+        found = self.keys[at] == keys
+        if found.all():
+            return self.index[at]
+        missing = np.flatnonzero(~found)
+        new, first = np.unique(keys[missing], return_index=True)
+        stored = len(self.keys) - 1
+        if stored + len(new) > _MEMO_ROWS:
+            if not stored:
+                return None
+            self.keys, self.index = self.keys[-1:], self.index[-1:]
+            return self.rows(frames, keys, lengths, credits)
+        added = np.arange(stored, stored + len(new))
+        for row, column in zip(added.tolist(), missing[first].tolist()):
+            self._fill(
+                row,
+                frames,
+                lengths[:, column].tolist(),
+                credits[:, column].tolist(),
+            )
+        place = np.searchsorted(self.keys, new)
+        self.keys = np.insert(self.keys, place, new)
+        self.index = np.insert(self.index, place, added)
+        return self.index[np.searchsorted(self.keys, keys)]
+
+    def _fill(
+        self, row: int, frames: int, lengths: List[int], credits: List[int]
+    ) -> None:
+        """Run the smoothed weighted round-robin of
+        :meth:`VirtualOutputQueues._weighted_picks_loop` for one
+        destination, without the age override, into *row*."""
+        weights = self.weights
+        classes = range(len(weights))
+        taken = [0] * len(weights)
+        picks, ranks = [], []
+        for _frame in range(frames):
+            live = [tid for tid in classes if lengths[tid]]
+            if not live:
+                break
+            winner = live[0]
+            if len(live) > 1:
+                for tid in live:
+                    credits[tid] += weights[tid]
+                # max() keeps the first maximum: ties to the lowest class.
+                winner = max(live, key=credits.__getitem__)
+                credits[winner] -= sum(weights[tid] for tid in live)
+            picks.append(winner)
+            ranks.append(taken[winner])
+            taken[winner] += 1
+            lengths[winner] -= 1
+            if not lengths[winner]:
+                credits[winner] = 0
+        pad = [0] * (self.width - len(picks))
+        self.pick[row] = picks + pad
+        self.rank[row] = ranks + pad
+        self.taken[row] = taken
+        self.credit[row] = credits
+
+
 class VirtualOutputQueues:
     """``n`` bounded FIFOs, one per output, drained a block at a time.
 
@@ -248,6 +365,8 @@ class VirtualOutputQueues:
         )
         self._rr_start = 0
         self._queued = 0  # maintained so ``total`` is O(1) on the hot path
+        # The tenant pick's memo, built on the first multi-class pop.
+        self._memo: Optional[_PickMemo] = None
         # Admission counters (offered = accepted + rejected).
         self.offered = 0
         self.accepted = 0
@@ -294,6 +413,7 @@ class VirtualOutputQueues:
             self._credit = _pad_class(self._credit)
             self._served = np.append(self._served, 0)
             self._rescues = np.append(self._rescues, 0)
+            self._memo = None  # keyed by the old class set
         return tid
 
     def _grow(self, need: int) -> None:
@@ -322,9 +442,13 @@ class VirtualOutputQueues:
     ) -> None:
         """Enqueue one word or raise :class:`AdmissionRejectedError`.
 
-        The retry-after hint is the queue's current depth: the fabric
-        drains at most one word per destination per frame, so a full
-        queue needs at least ``depth`` cycles before a slot frees.
+        The retry-after hint is the queue's depth, ``max(depth,
+        capacity)`` cycles: a backoff, not an estimate of when a slot
+        frees.  A plane drains up to its window of words from a queue
+        per cycle, so a window-32 plane empties a full queue of 32 in
+        one; hints scaled to that drain rate gained no throughput and
+        raised batch latency (``docs/serving.md``, the backpressure
+        contract).
         """
         self.offered += 1
         row = self._tenant_row(tenant) if self.tenanted else None
@@ -561,8 +685,8 @@ class VirtualOutputQueues:
         Which destinations ride frame ``j`` (every one deeper than
         ``j``), and so the layout, does not depend on the tenant
         classes; with one class the word taken is simply the ``j``-th
-        of the destination's FIFO, with two or more the classes are
-        picked frame by frame (:meth:`_weighted_picks`).
+        of the destination's FIFO, with two or more the classes come
+        from the tenant pick (:meth:`_weighted_picks`).
         """
         n = self.n
         depth = self._depth
@@ -595,16 +719,102 @@ class VirtualOutputQueues:
             self._len[0] -= taken
             self._served[0] += len(dests)
         else:
-            picks, slots = self._weighted_picks(frames)
-            tids = picks[frame_of, dests]
-            rows = (tids * n + dests) * length + slots[frame_of, dests]
+            tids, slots = self._weighted_picks(frames, frame_of, dests)
+            rows = (tids * n + dests) * length + slots
             self._served += np.bincount(tids, minlength=len(self._names))
         words = self._ring.reshape(-1, 4).take(rows, axis=0)
         depth -= taken
         self._queued -= len(words)
         return Block(addresses, counts, full, words, frame_of, dests, tids)
 
-    def _weighted_picks(self, frames: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _weighted_picks(
+        self, frames: int, frame_of: np.ndarray, dests: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pop the block's words; return the class and ring slot of the
+        word riding each (*frame_of*, *dests*) pair, with the state
+        changes of :meth:`_weighted_picks_loop`.
+
+        Without the age override, a destination's classes over the
+        block depend only on *frames* and each class's FIFO length
+        (capped at ``frames + 1``, since no class gives more than
+        *frames* words) and credit.  That key is one int64 per
+        destination, and each distinct key one memo row: the class and
+        rank of every frame's pick, and per class the words taken and
+        the final credit.  The loop runs instead when a key cannot be
+        encoded (a block wider than the memo, too many classes, a
+        credit beyond ± the total weight), or when the age override
+        could fire: it compares two classes' heads, so it cannot where
+        the enqueue cycles of the words the block takes and of the
+        heads it leaves behind span at most ``starvation_cycles``.  The
+        span is taken over every such word, since a requeue leaves a
+        FIFO's cycles out of order.  Nothing is committed before both
+        checks pass.
+        """
+        weights = self._weights
+        classes = len(weights)
+        total = int(weights.sum())
+        span = frames + 2  # capped lengths run 0 .. frames + 1
+        radix = 2 * total + 1  # credits run -total .. total
+        lengths, credits = self._len, self._credit
+        if (
+            frames > _MEMO_FRAMES
+            or (frames + 1) * (span * radix) ** classes > _NO_KEY
+            or int(np.abs(credits).max()) > total
+        ):
+            return self._loop_picks(frames, frame_of, dests)
+        capped = np.minimum(lengths, frames + 1)
+        keys = np.full(self.n, frames, dtype=np.int64)
+        for column in capped:
+            keys *= span
+            keys += column
+        for column in credits:
+            keys *= radix
+            keys += column + total
+        memo = self._memo
+        if memo is None or memo.width < frames:
+            width = 1 << (frames - 1).bit_length()
+            memo = self._memo = _PickMemo(weights.tolist(), width)
+        rows = memo.rows(frames, keys, capped, credits)
+        if rows is None:
+            return self._loop_picks(frames, frame_of, dests)
+        # Each word's (row, frame) cell, and its queue: class * n + dest.
+        cells = rows[dests] * memo.width + frame_of
+        tids = memo.pick.reshape(-1).take(cells).astype(np.int64)
+        queues = tids * self.n + dests
+        length = self._ring.shape[2]
+        mask = length - 1
+        slots = self._head.reshape(-1).take(queues)
+        slots += memo.rank.reshape(-1).take(cells)
+        slots &= mask
+        taken = memo.taken[rows].T
+        heads = (self._head + taken) & mask
+        every_queue = np.arange(lengths.size).reshape(lengths.shape)
+        cycles = self._ring.reshape(-1)
+        seen = np.concatenate(
+            [
+                cycles.take((queues * length + slots) * 4 + CYCLE),
+                cycles.take((every_queue * length + heads) * 4 + CYCLE)[
+                    lengths > taken
+                ],
+            ]
+        )
+        if int(seen.max()) - int(seen.min()) > self.starvation_cycles:
+            return self._loop_picks(frames, frame_of, dests)
+        self._head[:] = heads
+        lengths -= taken
+        credits[:] = memo.credit[rows].T
+        return tids, slots
+
+    def _loop_picks(
+        self, frames: int, frame_of: np.ndarray, dests: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_weighted_picks` by the loop."""
+        picks, slots = self._weighted_picks_loop(frames)
+        return picks[frame_of, dests], slots[frame_of, dests]
+
+    def _weighted_picks_loop(
+        self, frames: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Pop one word per non-empty destination for each of *frames*
         frames; return each (frame, destination)'s class and ring slot.
 

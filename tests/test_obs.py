@@ -479,7 +479,7 @@ def _drive(gateway, words=64, seed=7):
         except AdmissionRejectedError:
             pass
         gateway.tick()
-    while gateway.voqs.total or gateway._frames_in_flight():
+    while gateway.voqs.total:
         gateway.tick()
     return pushed
 

@@ -7,8 +7,10 @@ Every test runs on a stock event loop via the ``run_async`` fixture
 import asyncio
 import random
 
+import numpy as np
 import pytest
 
+from repro.backends import compiled_backend
 from repro.exceptions import (
     AdmissionRejectedError,
     GatewayClosedError,
@@ -21,6 +23,7 @@ from repro.server import (
     GatewayConfig,
     engine_names,
 )
+from repro.server.voq import OWNER
 from repro.service import FaultPolicy, ResilientFabric
 
 pytestmark = pytest.mark.asyncio_suite
@@ -405,7 +408,44 @@ class _KillOnDispatch:
         pass
 
 
+class _EveryFrameMisrouted:
+    """The compiled BNB backend with every output's source rotated by
+    one line, so every routed frame misdelivers."""
+
+    name = "bnb-misrouted"
+
+    def __init__(self, m):
+        self._bnb = compiled_backend("bnb", m)
+
+    def route_frame(self, addresses):
+        return self.route_frame_batch(addresses[None, :])[0]
+
+    def route_frame_batch(self, addresses):
+        return np.roll(self._bnb.route_frame_batch(addresses), 1, axis=1)
+
+
 class TestPlaneFailure:
+    def test_planes_dying_in_one_tick_requeue_oldest_first(self):
+        """Two planes take one word each for destination 1 and both
+        misdeliver in the same tick: the words go back in the order
+        the planes took them, ahead of the word still queued."""
+
+        def factory(plane_id, m):
+            return BackendPlane(
+                plane_id, m, backend=_EveryFrameMisrouted(m), batch_window=1
+            )
+
+        gateway = AsyncGateway(
+            GatewayConfig(m=3, planes=2, batch_window=1),
+            plane_factory=factory,
+        )
+        for owner in (101, 102, 103):
+            gateway.voqs.admit(1, gateway.cycle, owner)
+        gateway.tick()
+        assert [plane.healthy for plane in gateway.planes] == [False, False]
+        assert gateway.voqs.requeued == 2
+        assert gateway.voqs.drain_all()[:, OWNER].tolist() == [101, 102, 103]
+
     def test_operator_kill_mid_run_keeps_delivery_total(self, run_async):
         async def scenario():
             config = GatewayConfig(m=3, planes=2, queue_capacity=16)

@@ -107,7 +107,7 @@ tenant_sets = st.one_of(
 class VOQModel(RuleBasedStateMachine):
     @initialize(
         m=st.integers(1, 3),
-        capacity=st.integers(1, 6),
+        capacity=st.integers(1, 16),
         tenants=tenant_sets,
         starvation=st.integers(1, 6),
     )
@@ -169,7 +169,9 @@ class VOQModel(RuleBasedStateMachine):
         assert rejected.tolist() == [i for i, h in expected.items() if h is not None]
         assert hints.tolist() == [h for h in expected.values() if h is not None]
 
-    @rule(frames=st.integers(1, 5))
+    # Frames and capacity wide enough that a FIFO is sometimes longer
+    # than frames + 1, the most the tenant pick's memo key keeps.
+    @rule(frames=st.integers(1, 10))
     def pop(self, frames):
         block = self.scheduler.next_frame(self.voqs, self.cycle, frames)
         expected = []

@@ -10,10 +10,13 @@ with the same receipts, ``stats()`` counters, Prometheus series and
 frame traces.  The scenarios use only the public gateway API
 (``send_batch``, ``send_with_retry``, ``kill_plane``, ``stats`` and the
 instrumentation), so any release since 2.0.0 runs them.  They cover the
-``batch`` and ``msorter`` engines, windows of one to eight frames, one
-to three planes, rejections with server-side retries, a mid-run plane
-kill, and two or three tenant classes with unequal weights, starvation
-rescues included.
+``batch`` and ``msorter`` engines, windows of one to thirty-two frames,
+one to three planes, rejections with server-side retries, a mid-run
+plane kill, and two or three tenant classes with unequal weights,
+starvation rescues included.  ``hotspot_m8`` is the served
+``tenant_hotspot_m8`` shape: N = 256, capacity and window 32, one
+plane, gold:8/bronze:1, and hot-mix batches (70% of the words to the
+first eighth of the outputs) with 16 retries.
 
 Every tenant first queues one word at every destination, in
 registration order: since 2.1.0 credit ties go to the class registered
@@ -35,7 +38,7 @@ from repro.obs import GatewayInstrumentation, Registry
 from repro.server import AsyncGateway, GatewayConfig
 
 #: (engine, m, planes, capacity, tenants, kill at cycle, seed, window,
-#: starvation cycles)
+#: starvation cycles[, hot-mix batches])
 SCENARIOS = {
     "batch_tenants": ("batch", 4, 2, 8, {"gold": 5, "bronze": 2}, None, 11, 8, 1024),
     "window1_kill_tenants": (
@@ -46,7 +49,20 @@ SCENARIOS = {
     "batch_window_3": ("batch", 3, 1, 4, {"a": 100, "b": 1}, None, 15, 3, 1024),
     "window1_rescue": ("batch", 3, 2, 12, {"a": 100, "b": 1, "c": 3}, 7, 18, 1, 2),
     "batch_rescue": ("batch", 4, 1, 12, {"a": 50, "b": 1}, None, 19, 8, 3),
+    "hotspot_m8": (
+        "batch", 8, 1, 32, {"gold": 8, "bronze": 1}, None, 21, 32, 1024, True
+    ),
 }
+
+
+def _batch_dests(rng, n, hot):
+    """A batch's destinations: uniform, or the hot mix."""
+    if not hot:
+        return [rng.randrange(n) for _ in range(rng.randrange(20, 300))]
+    return [
+        rng.randrange(n // 8) if rng.random() < 0.7 else rng.randrange(n)
+        for _ in range(rng.randrange(512, 2048))
+    ]
 
 
 def _batch_dump(result):
@@ -56,7 +72,9 @@ def _batch_dump(result):
     } | {"mode_table": list(result.mode_table)}
 
 
-async def _scenario(engine, m, planes, capacity, tenants, kill_at, seed, window, starvation):
+async def _scenario(
+    engine, m, planes, capacity, tenants, kill_at, seed, window, starvation, hot=False
+):
     rng = random.Random(seed)
     n = 1 << m
     gateway = AsyncGateway(
@@ -102,8 +120,8 @@ async def _scenario(engine, m, planes, capacity, tenants, kill_at, seed, window,
         first = [batch(list(range(n)), 4, name) for name in names]
         batches = [
             batch(
-                [rng.randrange(n) for _ in range(rng.randrange(20, 300))],
-                rng.randrange(0, 8),
+                _batch_dests(rng, n, hot),
+                16 if hot else rng.randrange(0, 8),
                 names[k % len(names)],
             )
             for k in range(6)
