@@ -77,19 +77,17 @@ def _vector_cycles_per_sec(m: int, cycles: int) -> float:
     frame_of = np.zeros(n, dtype=np.int64)
     plane = BackendPlane(0, m, "bnb", batch_window=1)
 
-    def offer(k: int) -> None:
+    def frame(k: int) -> Block:
         addresses = perms[k % len(perms)]
         block = Block(addresses, full, True, words, frame_of, addresses[0])
         block.tag = k
-        plane.offer(block)
+        return block
 
     for k in range(m + 1):  # the object side's warm-up, step for step
-        offer(-1 - k)
-        plane.step()
+        plane.step(frame(-1 - k))
     start = time.perf_counter()
     for k in range(cycles):
-        offer(k)
-        plane.step()
+        plane.step(frame(k))
     elapsed = time.perf_counter() - start
     assert plane.frames_delivered >= cycles  # back-to-back, no bubbles
     return cycles / elapsed

@@ -6,7 +6,7 @@ Two registrations:
   is :func:`~repro.core.pipeline_fast.route_frame_batch` (all ``m``
   main stages of a ``(batch, n)`` stack as numpy gathers and stage-table
   lookups) and ``route_frame`` routes a lone frame as a one-row batch
-  of it — one kernel, which the gateway's ``vector`` and ``batch``
+  of it — one kernel, which the gateway's ``batch`` and ``bnb``
   engines both serve on.  The only backend that supports fault masks:
   both methods take an optional ``mask`` and reproduce the faulty
   fabric's arrival order.

@@ -904,7 +904,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         if "traces" in snapshot:
             traces = snapshot["traces"]
             print(
-                f"traces   : {traces['completed_frames']} frames traced "
+                f"traces   : {traces['traced_frames']} frames traced "
                 f"(1 in {traces['sample_every']}), "
                 f"{len(traces['records'])} retained"
             )

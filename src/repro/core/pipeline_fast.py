@@ -11,7 +11,7 @@ into one gather — see :func:`~repro.core.plan.stage_flat_take` and the
 per-``m`` :class:`~repro.core.plan.CompiledPlan` cache — so no
 Python-level ``Word``, ``Splitter`` or ``Arbiter`` is touched.  It is
 the ``"bnb"`` routing backend (:mod:`repro.backends.bnb`) that the
-gateway's ``vector``, ``batch`` and ``bnb`` engines serve on.
+gateway's ``batch`` and ``bnb`` engines serve on.
 
 Physical faults ride along as data: pass a
 :class:`~repro.core.plan.FaultMask` and every stuck switch becomes a

@@ -34,7 +34,7 @@ from .registry import (
     Registry,
     get_registry,
 )
-from .tracing import FrameTracer
+from .tracing import FrameTrace, FrameTracer
 
 #: Columns of a block's word rows (``repro.server.voq``'s layout).
 CYCLE, REQUEUES = 2, 3
@@ -179,11 +179,6 @@ class GatewayInstrumentation:
             "1 while the plane serves traffic, 0 once killed.",
             labelnames=("plane",),
         )
-        self._plane_in_flight = r.gauge(
-            "repro_plane_in_flight",
-            "Frames currently inside the plane.",
-            labelnames=("plane",),
-        )
         self._plane_frames = r.counter(
             "repro_plane_frames_delivered_total",
             "Frames the plane has delivered and verified.",
@@ -293,41 +288,34 @@ class GatewayInstrumentation:
 
     def on_dispatch(self, block, plane, cycle: int) -> None:
         self._dispatches.labels(str(plane.plane_id)).inc(block.k)
+
+    def on_frame_delivered(self, completion, cycle: int, worst) -> None:
+        """One delivered block; *worst* is each frame's worst word
+        latency in cycles.  Traces the block's sampled frames."""
+        block = completion.block
+        plane, mode = completion.plane_id, completion.mode
+        self._frames.labels(str(plane), mode).inc(block.k)
+        self._words.labels(mode).inc(block.size)
+        self._fill.observe_many(block.fills)
+        self._frame_latency.observe_many(worst)
         tracer = self.tracer
         every = tracer.sample_every
         n = block.addresses.shape[1]
         for j in range(-block.tag % every, block.k, every):
             rows = block.words[block.frame_slice(j)]
             count = int(block.counts[j])
-            tracer.record_dispatch(
-                block.tag + j,
-                plane.plane_id,
-                cycle,
-                words=count,
-                fill=count / n,
-                enqueued_cycle=int(rows[:, CYCLE].min()),
-                coalesced_cycle=block.scheduled_cycle,
-                requeues=int(rows[:, REQUEUES].max()),
-            )
-
-    def on_frame_delivered(self, completion, cycle: int, worst) -> None:
-        """One delivered block; *worst* is each frame's worst word
-        latency in cycles."""
-        block = completion.block
-        self._frames.labels(str(completion.plane_id), completion.mode).inc(
-            block.k
-        )
-        self._words.labels(completion.mode).inc(block.size)
-        self._fill.observe_many(block.fills)
-        self._frame_latency.observe_many(worst)
-        tracer = self.tracer
-        every = tracer.sample_every
-        for j in range(-block.tag % every, block.k, every):
-            tracer.record_delivery(
-                block.tag + j,
-                cycle,
-                mode=completion.mode,
-                latency_cycles=int(worst[j]),
+            tracer.record(
+                FrameTrace(
+                    tag=block.tag + j,
+                    plane=plane,
+                    words=count,
+                    fill=count / n,
+                    enqueued_cycle=int(rows[:, CYCLE].min()),
+                    delivered_cycle=cycle,
+                    latency_cycles=int(worst[j]),
+                    mode=mode,
+                    requeues=int(rows[:, REQUEUES].max()),
+                )
             )
 
     def on_requeue(self, plane, blocks) -> None:
@@ -335,7 +323,6 @@ class GatewayInstrumentation:
 
     def on_plane_killed(self, plane) -> None:
         self._kills.labels(str(plane.plane_id)).inc()
-        self.tracer.abandon_plane(plane.plane_id)
 
     # ------------------------------------------------------------------
     # The collector (runs at scrape time only)
@@ -368,7 +355,6 @@ class GatewayInstrumentation:
         for plane in gateway.planes:
             label = str(plane.plane_id)
             self._plane_healthy.labels(label).set(1 if plane.healthy else 0)
-            self._plane_in_flight.labels(label).set(plane.in_flight)
             self._plane_frames.labels(label).sync(plane.frames_delivered)
             self._plane_words.labels(label).sync(plane.words_delivered)
             policy = getattr(plane, "policy", None)

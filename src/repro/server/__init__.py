@@ -11,24 +11,25 @@ keeps answering it forever, online, for concurrent clients:
   whole ``send_batch`` is admitted with array operations and no Python
   object exists per word;
 * :mod:`repro.server.scheduler` — the **frame scheduler** that each
-  cycle composes as many frames as a plane has room for into one
+  cycle composes up to a plane's window of frames into one
   :class:`~repro.server.voq.Block`: frame ``j`` takes the ``j``-th
   queued word of every destination (a conflict-free partial
   permutation) and idle-fills the rest, laid out as
   :func:`~repro.core.traffic.coalesce_frame` would;
 * :mod:`repro.server.planes` — **fabric planes**: one kind,
-  :class:`~repro.server.planes.BackendPlane`, routes a window of
-  frames per cycle through a compiled routing backend and verifies
-  every one in full, in the cycle it takes them.  A faulty plane
-  drains, its words requeue, and the pool serves on; a resilient
+  :class:`~repro.server.planes.BackendPlane`, routes the block of up
+  to a window of frames it is handed, in one call of a compiled
+  routing backend, and verifies every frame in full before the call
+  returns.  A faulty plane dies, the block's words requeue, and the
+  pool serves on; a resilient
   plane's :class:`~repro.service.FaultPolicy` instead retries,
   diagnoses and fails over to a Benes spare, so it survives physical
   faults;
 * :mod:`repro.server.gateway` — the **asyncio dataplane** tying them
   together: ``await gateway.send(dest, payload)`` returns a delivery
   receipt, ``await gateway.send_batch(dests)`` a per-word
-  :class:`~repro.server.gateway.BatchResult`; a clock task schedules
-  a block onto each healthy plane every cycle, and each delivered
+  :class:`~repro.server.gateway.BatchResult`; a clock task hands a
+  block to each healthy plane in turn every cycle, and each delivered
   block is scattered into its owners' result arrays (or resolves a
   single send's future);
 * :mod:`repro.server.ops` — the **declarative op registry** every wire

@@ -4,10 +4,10 @@
 ``await gateway.send(dest, payload)`` (or speak the JSON-lines TCP
 protocol in :mod:`repro.server.protocol`, which lands here); admitted
 words wait in the virtual output queues; a single clock task runs the
-gateway *cycle*: coalesce a block of frames for each healthy plane,
-route and verify every plane's block, resolve the futures of delivered
-words.  A plane routes what it was offered in the cycle it takes it,
-so no frame stays inside a plane between cycles.
+gateway *cycle*: each healthy plane in turn takes a block of frames,
+routes and verifies it, and the futures of its delivered words
+resolve.  A plane routes a block in the call that hands it over, so no
+frame stays inside a plane between cycles.
 
 Because all fabric work is pure CPU and all shared state is touched
 only between awaits, the gateway needs no locks — the event loop is the
@@ -65,6 +65,10 @@ __all__ = [
 
 #: Builds plane *i* for a gateway of address width *m*.
 PlaneFactory = Callable[[int, int], Any]
+
+#: Latency samples kept for the percentile estimate: the sample lists
+#: trim back to this many once they pass twice as many.
+LATENCY_WINDOW = 8192
 
 #: Engine aliases -> backend.  Every engine names a routing backend;
 #: its planes route up to ``batch_window`` frames per cycle and deliver
@@ -128,8 +132,6 @@ class GatewayConfig:
     #: waited this many cycles longer than the weighted pick's head is
     #: served first regardless of weights.
     starvation_cycles: int = 1024
-    #: Bound on latency samples kept for the percentile estimate.
-    latency_window: int = 8192
     #: Stable identity this gateway reports in ``stats`` and as the
     #: ``node_id`` label on exported metrics, so cluster health polling
     #: can tell nodes apart.  ``None`` derives ``gw-<pid>``, unique per
@@ -284,20 +286,21 @@ class _Sender:
 
 
 def _extend_by_frame(
-    samples: List[int], values: np.ndarray, frame_ends: Any, window: int
+    samples: List[int], values: np.ndarray, frame_ends: Any
 ) -> None:
     """Append one block's latency *values* to *samples*, keeping the
-    per-frame retention rule: whenever the list passes ``2 * window``
-    after a frame, only its last *window* samples stay."""
-    if len(samples) + len(values) <= 2 * window:
+    per-frame retention rule: whenever the list passes
+    ``2 * LATENCY_WINDOW`` after a frame, only its last
+    ``LATENCY_WINDOW`` samples stay."""
+    if len(samples) + len(values) <= 2 * LATENCY_WINDOW:
         samples.extend(values.tolist())
         return
     start = 0
     for end in frame_ends:
         samples.extend(values[start:end].tolist())
         start = end
-        if len(samples) > 2 * window:
-            del samples[:-window]
+        if len(samples) > 2 * LATENCY_WINDOW:
+            del samples[:-LATENCY_WINDOW]
 
 
 class AsyncGateway:
@@ -369,8 +372,8 @@ class AsyncGateway:
             else {}
         )
         self._mode_counts: Dict[str, int] = {}
-        #: Owners of queued and in-flight words by owner id: a
-        #: ``send_batch`` tracker or a single ``send``'s sender.
+        #: Owners of queued words by owner id: a ``send_batch`` tracker
+        #: or a single ``send``'s sender.
         self._owners: Dict[int, Any] = {}
         self._next_owner = 0
         self._accepting = False
@@ -442,16 +445,14 @@ class AsyncGateway:
         The cluster tier's rolling-restart primitive (the ``drain``
         wire op): a draining gateway rejects every new ``send`` /
         ``send_batch`` word with an :class:`AdmissionRejectedError`
-        carrying a retry-after hint, while queued words and in-flight
-        frames complete normally — so an operator can wait for the
-        backlog to reach zero and restart the node without a delivery
-        gap.  Idempotent; :meth:`rejoin` reverses it.
+        carrying a retry-after hint, while queued words are served
+        normally — so an operator can wait for the backlog to reach
+        zero and restart the node without a delivery gap.  Returns the
+        backlog, ``{"queued": words}``.  Idempotent; :meth:`rejoin`
+        reverses it.
         """
         self._draining = True
-        return {
-            "queued": self.voqs.total,
-            "in_flight": self._frames_in_flight(),
-        }
+        return {"queued": self.voqs.total}
 
     def rejoin(self) -> None:
         """Resume admission after a :meth:`drain` (idempotent)."""
@@ -673,23 +674,21 @@ class AsyncGateway:
         self._work.set()
         return await future
 
-    def kill_plane(self, plane_id: int, reason: str = "operator kill") -> int:
-        """Fail one plane; its in-flight words requeue.  Returns how many.
+    def kill_plane(self, plane_id: int, reason: str = "operator kill") -> None:
+        """Take one plane out of service.
 
-        Raises :class:`InputError` for a plane id outside the pool.
+        A plane holds no words between cycles, so nothing strands here.
+        Killed from ``on_dispatch`` inside a cycle, the plane hands the
+        block it was just popped back from its ``step``, and the block
+        requeues with the cycle's other stranded blocks.  Raises
+        :class:`InputError` for a plane id outside the pool.
         """
         plane = self._plane(plane_id)
-        was_healthy = plane.healthy
-        stranded = plane.kill(reason=reason)
-        self.voqs.requeue_front(stranded)
-        words = sum(block.size for block in stranded)
-        if self.observer is not None:
-            if words:
-                self.observer.on_requeue(plane, stranded)
-            if was_healthy:
+        if plane.healthy:
+            plane.kill(reason=reason)
+            if self.observer is not None:
                 self.observer.on_plane_killed(plane)
         self._work.set()
-        return words
 
     def inject_fault(
         self, plane_id: int, coordinate: Any, value: int
@@ -742,14 +741,6 @@ class AsyncGateway:
     # ------------------------------------------------------------------
     # The clock
     # ------------------------------------------------------------------
-    def _frames_in_flight(self) -> int:
-        """Frames inside healthy planes, for the ``drain`` reply: 0
-        between cycles, since every plane routes what it takes in the
-        cycle it takes it, so nothing else needs the sum."""
-        return sum(
-            plane.in_flight for plane in self.planes if plane.healthy
-        )
-
     def _has_work(self) -> bool:
         return bool(self.voqs.total or self._cycle_waiters)
 
@@ -782,35 +773,35 @@ class AsyncGateway:
 
     def tick(self) -> None:
         """One synchronous gateway cycle (the benchmark harness calls it
-        directly; the clock task calls it between awaits)."""
+        directly; the clock task calls it between awaits): while backlog
+        remains, each healthy plane in turn takes one block of up to its
+        window of frames, routes and verifies it, and its completions
+        resolve."""
         self.cycle += 1
-        healthy = [plane for plane in self.planes if plane.healthy]
-        # Dispatch, while backlog remains: each healthy plane takes one
-        # block of as many frames as it has free.
-        for plane in healthy:
+        requeue: List[Block] = []
+        for plane in self.planes:
             if not self.voqs.total:
                 break
-            block = self.scheduler.next_frame(self.voqs, self.cycle, plane.free)
-            plane.offer(block)
+            if not plane.healthy:
+                continue
+            block = self.scheduler.next_frame(self.voqs, plane.batch_window)
             if self.observer is not None:
                 self.observer.on_dispatch(block, plane, self.cycle)
-        # Clock every healthy plane: each routes and releases its block
-        # now; collect deliveries and casualties.
-        requeue: List[Block] = []
-        for plane in healthy:
-            completed, stranded = plane.step()
+            was_healthy = plane.healthy
+            completed, stranded = plane.step(block)
             for completion in completed:
                 self._resolve(completion)
             if stranded:
                 requeue.extend(stranded)
                 if self.observer is not None:
                     self.observer.on_requeue(plane, stranded)
-            # A plane that was healthy entering the tick and is not now
-            # was killed by its own step(); report it exactly once.
-            if not plane.healthy and self.observer is not None:
+            # Report a plane that its own step() killed; a kill from an
+            # observer hook before the step was reported by kill_plane.
+            if was_healthy and not plane.healthy and self.observer is not None:
                 self.observer.on_plane_killed(plane)
-        # One requeue, oldest plane first: the planes took their blocks
-        # in this order, so each FIFO gets its words back oldest first.
+        # One requeue at the end, oldest plane first: the planes took
+        # their blocks in this order, so each FIFO gets its words back
+        # oldest first.
         if requeue:
             self.voqs.requeue_front(requeue)
         # Release cycle waiters that reached their target.
@@ -847,11 +838,10 @@ class AsyncGateway:
             self._resolve_one(completion, words[0].tolist())
             return
         latencies = cycle - words[:, CYCLE]
-        window = self.config.latency_window
         ends = np.cumsum(block.counts)
-        _extend_by_frame(self._latencies, latencies, ends.tolist(), window)
+        _extend_by_frame(self._latencies, latencies, ends.tolist())
         if self._tenant_latencies is not None:
-            self._account_tenants(block, latencies, window)
+            self._account_tenants(block, latencies)
         owners = words[:, OWNER]
         first = owners[0]
         if (owners == first).all():
@@ -909,19 +899,18 @@ class AsyncGateway:
         block = completion.block
         owner_id, index, enqueued, _requeues = row
         latency = self.cycle - enqueued
-        window = self.config.latency_window
         samples = self._latencies
         samples.append(latency)
-        if len(samples) > 2 * window:
-            del samples[:-window]
+        if len(samples) > 2 * LATENCY_WINDOW:
+            del samples[:-LATENCY_WINDOW]
         if self._tenant_latencies is not None:
             tid = 0 if block.tenants is None else int(block.tenants[0])
             name = self.voqs.tenant_names[tid]
             tenant_samples = self._tenant_samples(name)
             self._tenant_delivered[name] += 1
             tenant_samples.append(latency)
-            if len(tenant_samples) > 2 * window:
-                del tenant_samples[:-window]
+            if len(tenant_samples) > 2 * LATENCY_WINDOW:
+                del tenant_samples[:-LATENCY_WINDOW]
         owner = self._owners.get(owner_id)
         if isinstance(owner, _BatchTracker):
             result = owner.result
@@ -970,9 +959,7 @@ class AsyncGateway:
             self._tenant_delivered[tenant] = 0
         return samples
 
-    def _account_tenants(
-        self, block: Block, latencies: np.ndarray, window: int
-    ) -> None:
+    def _account_tenants(self, block: Block, latencies: np.ndarray) -> None:
         """Per-tenant delivery counts and latency samples of one block."""
         names = self.voqs.tenant_names
         tids = block.tenants
@@ -985,7 +972,7 @@ class AsyncGateway:
                 mine = tids == tid
                 values, frame_of = latencies[mine], block.frame_of[mine]
             ends = np.cumsum(np.bincount(frame_of, minlength=block.k)).tolist()
-            _extend_by_frame(samples, values, ends, window)
+            _extend_by_frame(samples, values, ends)
             self._tenant_delivered[name] += len(values)
 
     # ------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Fabric planes: the switching capacity behind the gateway.
 
-A *plane* is one independent copy of the fabric plus the book-keeping
-to track which frames are inside it.  There is one kind,
+A *plane* is one independent copy of the fabric and its delivery
+counters.  There is one kind,
 :class:`BackendPlane`: frames routed through a compiled
 :class:`~repro.backends.RoutingBackend` (the BNB vector dataplane, the
 BNB object model, KR-Benes, the multiway sorter, or the arena's
 measured winner under ``engine="auto"``; see ``docs/backends.md``).
 Up to ``batch_window`` frames per gateway cycle go through one kernel
 call, every routed frame is verified in full, and verified frames
-leave the plane in the cycle that routed them, so a plane holds
-nothing between cycles.  The BNB pipeline's own timing (one frame
+leave the plane in the call that routed them, so a plane holds
+nothing between calls.  The BNB pipeline's own timing (one frame
 enters per cycle and leaves ``m`` cycles later) has its cycle-accurate
 reference in the object model
 (:meth:`~repro.core.pipeline.PipelinedBNBFabric.stage_timeline`), and
@@ -24,10 +24,10 @@ policy, which retries misrouted words, diagnoses with BIST and fails
 the plane's routing over to the ``krbenes`` spare — so a stuck switch
 degrades the plane instead of failing it.
 
-The gateway's clock loop drives ``free`` / ``offer`` / ``step`` /
-``kill``.  Frames travel in blocks (:class:`~repro.server.voq.Block`):
-the gateway offers a plane one block of as many frames as it has
-``free``, and ``step`` hands back whole blocks, delivered or stranded.
+The gateway's clock loop calls ``step`` once per plane per cycle.
+Frames travel in blocks (:class:`~repro.server.voq.Block`): ``step``
+takes one block of up to ``batch_window`` frames, routes it and hands
+it back whole, delivered or stranded.
 """
 
 from __future__ import annotations
@@ -68,16 +68,15 @@ class BackendPlane:
     for every real line ``l``) — one vectorized comparison over the
     whole block, without building a single
     :class:`~repro.core.words.Word`.  Without a *policy*, a failed
-    check kills the plane and requeues every block it was offered this
-    cycle, the bad one included.  With one, the plane routes on the
-    policy's backend (*backend* is not used), the policy delivers the
-    bad frames, and each frame of a block reports its own delivery
-    mode; only an exhausted fault service
-    (:class:`~repro.exceptions.FaultServiceError`) or a misroute on
-    the spare kills the plane.  The policy books a cycle's frames
-    (:meth:`~repro.service.policy.FaultPolicy.book`) only once every
-    block of the cycle is served, so the frames a kill strands are not
-    counted as delivered.
+    check kills the plane and hands the whole block back for
+    requeueing.  With one, the plane routes on the policy's backend
+    (*backend* is not used), the policy delivers the bad frames, and
+    each frame of a block reports its own delivery mode; only an
+    exhausted fault service (:class:`~repro.exceptions.FaultServiceError`)
+    or a misroute on the spare kills the plane.  The policy books a
+    block's frames (:meth:`~repro.service.policy.FaultPolicy.book`)
+    only once the whole block is served, so the frames a kill strands
+    are not counted as delivered.
     """
 
     def __init__(
@@ -112,9 +111,6 @@ class BackendPlane:
         self.frames_delivered = 0
         self.words_delivered = 0
         self.batches_routed = 0
-        # Blocks offered this cycle, oldest first.
-        self._pending: List[Block] = []
-        self._pending_frames = 0
         self._lines = np.arange(self.n, dtype=np.int64)
         # Offset of each window row in a flattened (k, n) sources block.
         self._row_starts = np.arange(batch_window, dtype=np.int64)[:, None] * self.n
@@ -125,119 +121,71 @@ class BackendPlane:
         policy's backend, which failover switches to the spare."""
         return self._backend if self.policy is None else self.policy.backend
 
-    @property
-    def in_flight(self) -> int:
-        """Frames inside the plane: those offered this cycle and not yet
-        stepped (0 between cycles)."""
-        return self._pending_frames
+    def kill(self, reason: str = "killed") -> None:
+        """Take the plane out of service.  Idempotent: a second kill
+        keeps the first reason."""
+        if self.healthy:
+            self.healthy = False
+            self.failure = reason
 
-    @property
-    def free(self) -> int:
-        """Frames the plane can take this cycle."""
-        return self.batch_window - self._pending_frames if self.healthy else 0
+    def step(self, block: Block) -> Tuple[List[CompletedFrame], List[Block]]:
+        """Route *block* in one backend call, verify every frame and
+        release it: returns (completions, blocks to requeue).
 
-    def offer(self, block: Block) -> None:
-        if block.k > self.free:
+        A dead plane, or one that this block's routing kills, hands the
+        block back: ``([], [block])``.
+        """
+        if block.k > self.batch_window:
             raise ValueError(
-                f"plane {self.plane_id} cannot accept {block.k} frame(s) now"
+                f"plane {self.plane_id} cannot take {block.k} frame(s): "
+                f"its window is {self.batch_window}"
             )
-        self._pending.append(block)
-        self._pending_frames += block.k
-
-    def kill(self, reason: str = "killed") -> List[Block]:
-        """Take the plane out of service; return the stranded blocks,
-        oldest first.
-
-        Idempotent: a second kill returns nothing.  The caller (the
-        gateway) requeues their words so in-flight words survive the
-        plane's death.
-        """
         if not self.healthy:
-            return []
-        self.healthy = False
-        self.failure = reason
-        stranded, self._pending = self._pending, []
-        self._pending_frames = 0
-        return stranded
-
-    def step(self) -> Tuple[List[CompletedFrame], List[Block]]:
-        """One clock: returns (verified completions, blocks to requeue).
-
-        Routes every block offered this cycle in one kernel call and
-        releases them at once.
-        """
-        if not self.healthy or not self._pending:
-            return [], []
-        blocks = self._pending
-        served: List[Delivery] = []
+            return [], [block]
         try:
-            done = self._route(blocks, served)
+            done, served = self._route(block)
         except (FaultServiceError, MisdeliveryError) as error:
-            return [], self.kill(reason=str(error))
-        self.frames_delivered += self._pending_frames
-        self.words_delivered += sum(block.size for block in blocks)
-        self._pending = []
-        self._pending_frames = 0
+            self.kill(reason=str(error))
+            return [], [block]
+        self.frames_delivered += block.k
+        self.words_delivered += block.size
         for delivery in served:
             self.policy.book(delivery)
         return done, []
 
     def _route(
-        self, blocks: List[Block], served: List[Delivery]
-    ) -> List[CompletedFrame]:
-        """Route *blocks* in one ``route_frame_batch`` call (a lone
-        frame is a one-row batch); return their completions.  A
-        resilient plane routes under its policy's fault mask, and its
-        policy deliveries go to *served*.
+        self, block: Block
+    ) -> Tuple[List[CompletedFrame], List[Delivery]]:
+        """Route *block* in one ``route_frame_batch`` call (a lone frame
+        is a one-row batch; a resilient plane routes under its policy's
+        fault mask) and verify it; return its completions and the
+        policy deliveries to book (none without a policy).
         """
-        addresses = (
-            blocks[0].addresses
-            if len(blocks) == 1
-            else np.concatenate([block.addresses for block in blocks])
-        )
         backend = self.backend
         policy = self.policy
         mask = None if policy is None else policy.mask
         sources = (
-            backend.route_frame_batch(addresses)
+            backend.route_frame_batch(block.addresses)
             if mask is None
-            else backend.route_frame_batch(addresses, mask=mask)
+            else backend.route_frame_batch(block.addresses, mask=mask)
         )
         self.batches_routed += 1
-        done: List[CompletedFrame] = []
-        offset = 0
-        for block in blocks:
-            rows = sources[offset : offset + block.k]
-            offset += block.k
-            if policy is None:
-                self._verify(block, rows)
-                done.append(
-                    CompletedFrame(
-                        block=block, plane_id=self.plane_id, mode="clean"
-                    )
-                )
-            else:
-                done.extend(
-                    self._deliver(
-                        block, rows, backend is not policy.primary, served
-                    )
-                )
-        return done
+        if policy is None:
+            self._verify(block, sources)
+            return [CompletedFrame(block, self.plane_id, "clean")], []
+        return self._deliver(block, sources, backend is not policy.primary)
 
     def _deliver(
-        self,
-        block: Block,
-        rows: np.ndarray,
-        on_spare: bool,
-        served: List[Delivery],
-    ) -> List[CompletedFrame]:
+        self, block: Block, rows: np.ndarray, on_spare: bool
+    ) -> Tuple[List[CompletedFrame], List[Delivery]]:
         """A resilient plane's completions for *block*, routed on the
-        spare when *on_spare*: the policy serves it frame by frame, in
-        order, into *served*.  One completion when every frame has the
-        same mode, one per frame otherwise."""
+        spare when *on_spare*, and the policy's deliveries: the policy
+        serves the block frame by frame, in order.  One completion when
+        every frame has the same mode, one per frame otherwise."""
         policy = self.policy
         if on_spare:
             self._verify(block, rows)
+        served: List[Delivery] = []
         modes = []
         for j in range(block.k):
             # A frame the primary routed before a quarantine earlier in
@@ -252,11 +200,11 @@ class BackendPlane:
             served.append(delivery)
             modes.append(delivery.mode)
         if modes.count(modes[0]) == len(modes):
-            return [CompletedFrame(block, self.plane_id, modes[0])]
+            return [CompletedFrame(block, self.plane_id, modes[0])], served
         return [
             CompletedFrame(block.frame(j), self.plane_id, mode)
             for j, mode in enumerate(modes)
-        ]
+        ], served
 
     def _verify(self, block: Block, rows: np.ndarray) -> None:
         """Raise unless ``rows[j, addresses[j, l]] == l`` on every real
@@ -289,7 +237,6 @@ class BackendPlane:
             "kind": type(self).__name__,
             "healthy": self.healthy,
             "failure": self.failure,
-            "in_flight": self.in_flight,
             "frames_delivered": self.frames_delivered,
             "words_delivered": self.words_delivered,
             "engine": "backend",

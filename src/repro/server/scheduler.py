@@ -1,7 +1,7 @@
 """The frame scheduler: queued words -> conflict-free permutation frames.
 
 Each gateway cycle the scheduler asks the VOQs for as many frames as a
-plane's window has free and gets them back as one
+plane's window holds and gets them back as one
 :class:`~repro.server.voq.Block`: frame ``j`` takes the ``j``-th queued
 word of every destination that has one (pairwise-distinct destinations
 — a conflict-free matching of inputs to outputs, in the
@@ -33,7 +33,7 @@ class FrameScheduler:
         self._next_tag = 0
 
     def next_frame(
-        self, voqs: VirtualOutputQueues, cycle: int, frames: int = 1
+        self, voqs: VirtualOutputQueues, frames: int = 1
     ) -> Optional[Block]:
         """Build up to *frames* frames from *voqs* as one block, or
         ``None`` when idle.  Frame ``j`` of the block gets tag
@@ -42,7 +42,6 @@ class FrameScheduler:
         if block is None:
             return None
         block.tag = self._next_tag
-        block.scheduled_cycle = cycle
         self._next_tag += block.k
         self.frames_scheduled += block.k
         self.words_scheduled += block.size

@@ -91,12 +91,11 @@ class Block:
     ``dests``; ``tenants`` gives each word's tenant class index, or is
     ``None`` when every word belongs to class 0.  ``full`` marks a
     block with no idle line.  The scheduler stamps ``tag`` (frame
-    ``j`` is tag ``tag + j``) and ``scheduled_cycle``.
+    ``j`` is tag ``tag + j``).
     """
 
     __slots__ = (
         "tag",
-        "scheduled_cycle",
         "addresses",
         "counts",
         "full",
@@ -117,7 +116,6 @@ class Block:
         tenants: Optional[np.ndarray] = None,
     ) -> None:
         self.tag = -1
-        self.scheduled_cycle = -1
         self.addresses = addresses
         self.counts = counts
         self.full = full
@@ -160,13 +158,12 @@ class Block:
             None if self.tenants is None else self.tenants[rows],
         )
         block.tag = self.tag + j
-        block.scheduled_cycle = self.scheduled_cycle
         return block
 
     def __repr__(self) -> str:
         return (
             f"Block(tag={self.tag}, frames={self.k}, words={self.size}, "
-            f"n={self.addresses.shape[1]}, cycle={self.scheduled_cycle})"
+            f"n={self.addresses.shape[1]})"
         )
 
 

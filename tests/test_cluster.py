@@ -188,7 +188,7 @@ class TestDrainAdmission:
                 while gateway.voqs.total == 0:
                     await asyncio.sleep(0)
                 backlog = gateway.drain()
-                assert backlog["queued"] + backlog["in_flight"] > 0
+                assert list(backlog) == ["queued"] and backlog["queued"] > 0
                 assert gateway.draining
                 with pytest.raises(AdmissionRejectedError) as rejected:
                     await gateway.send(3)

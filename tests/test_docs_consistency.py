@@ -51,6 +51,9 @@ class TestRepositoryDocs:
     def test_documented_cli_surface_exists(self):
         assert check_docs.check_cli(REPO_ROOT) == []
 
+    def test_metric_catalog_matches_the_registry(self):
+        assert check_docs.check_metrics(REPO_ROOT) == []
+
     def test_cli_surface_reflects_parser(self):
         surface = check_docs.cli_surface()
         assert "serve" in surface and "stats" in surface
@@ -137,6 +140,37 @@ class TestCheckerParsing:
             "`repro serve 8 --engine batch`\n"
         )
         assert check_docs.check_cli(tmp_path) == []
+
+    @staticmethod
+    def _catalog(tmp_path, edit):
+        """Write the real metric catalog, passed through *edit*, under
+        *tmp_path*."""
+        text = (REPO_ROOT / check_docs.METRIC_CATALOG).read_text()
+        path = tmp_path / check_docs.METRIC_CATALOG
+        path.parent.mkdir()
+        path.write_text(edit(text))
+
+    def test_catalog_row_for_an_unregistered_metric(self, tmp_path):
+        healthy = "| `repro_plane_healthy` | gauge | `plane` |"
+        row = "| `repro_plane_in_flight` | gauge | `plane` | frames inside |\n"
+        self._catalog(tmp_path, lambda text: text.replace(healthy, row + healthy))
+        errors = check_docs.check_metrics(tmp_path)
+        assert len(errors) == 1
+        assert "repro_plane_in_flight" in errors[0]
+        assert "does not register" in errors[0]
+
+    def test_registered_metric_without_a_row(self, tmp_path):
+        self._catalog(
+            tmp_path,
+            lambda text: "".join(
+                line
+                for line in text.splitlines(keepends=True)
+                if not line.startswith("| `repro_gateway_cycle` |")
+            ),
+        )
+        errors = check_docs.check_metrics(tmp_path)
+        assert len(errors) == 1
+        assert "repro_gateway_cycle has no catalog row" in errors[0]
 
     def test_external_links_ignored(self, tmp_path):
         docs = tmp_path / "docs"

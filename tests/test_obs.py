@@ -20,6 +20,7 @@ from repro.exceptions import AdmissionRejectedError
 from repro.obs import (
     CYCLE_BUCKETS,
     Counter,
+    FrameTrace,
     FrameTracer,
     Gauge,
     GatewayInstrumentation,
@@ -346,11 +347,13 @@ class TestExpositionParity:
         its value: ``prometheus_tenanted.txt`` was rendered by the 2.5.0
         dataplane, and the 2.6.0 one (every plane routes its block in
         the cycle it takes it) reproduces it byte for byte — histogram
-        buckets and sums included."""
+        buckets and sums included.  2.8.0 removed the always-zero
+        ``repro_plane_in_flight`` gauge, and its 4 lines with it."""
         golden = pathlib.Path(__file__).parent / "data" / "prometheus_tenanted.txt"
         text = _tenanted_exposition()
         assert "repro_tenant_starvation_rescues_total" in text
-        # Plane 0 died with a frame inside, and its words requeued.
+        # Plane 0 misrouted the block it was handed and died, and the
+        # block's words requeued.
         assert 'repro_gateway_plane_kills_total{plane="0"} 1' in text
         requeued = re.search(r"^repro_voq_requeued_total (\d+)$", text, re.M)
         assert requeued and int(requeued.group(1)) > 0
@@ -391,60 +394,56 @@ class TestSnapshotSerialization:
 
 
 class TestFrameTracer:
-    def _dispatch(self, tracer, tag, cycle=5, plane=0):
-        tracer.record_dispatch(
-            tag,
-            plane,
-            cycle,
+    @staticmethod
+    def _trace(tag, cycle=5, latency=2):
+        return FrameTrace(
+            tag=tag,
+            plane=0,
             words=3,
             fill=0.75,
-            enqueued_cycle=cycle - 2,
-            coalesced_cycle=cycle,
+            enqueued_cycle=cycle - latency,
+            delivered_cycle=cycle,
+            latency_cycles=latency,
+            mode="clean",
+            requeues=0,
         )
 
     def test_stage_timeline_and_latency(self):
         tracer = FrameTracer(sample_every=1)
-        self._dispatch(tracer, tag=0, cycle=5)
-        tracer.record_delivery(0, cycle=8, mode="clean", latency_cycles=5)
+        tracer.record(self._trace(0, cycle=8, latency=5))
         [record] = tracer.records()
-        assert "stage_cycles" not in record  # a plane routes in one cycle
-        assert record["dispatched_cycle"] == 5
+        # A plane routes in one cycle: one stamp besides the enqueue.
+        assert "stage_cycles" not in record
+        assert "dispatched_cycle" not in record
+        assert "coalesced_cycle" not in record
+        assert record["enqueued_cycle"] == 3
         assert record["delivered_cycle"] == 8
         assert record["latency_cycles"] == 5
         assert record["mode"] == "clean"
 
     def test_sampling(self):
-        tracer = FrameTracer(sample_every=4)
-        for tag in range(16):
-            self._dispatch(tracer, tag)
-        assert tracer.traced_frames == 4  # tags 0, 4, 8, 12
+        """The instrumentation traces the frames whose tag is a
+        multiple of ``sample_every``, wherever they sit in a block:
+        windows of 3 frames take tags 0-2, 3-5, ..., 15."""
+        gateway = AsyncGateway(GatewayConfig(m=3, planes=1, batch_window=3))
+        instr = GatewayInstrumentation(
+            gateway, registry=Registry(), trace_sample_every=4
+        ).attach()
+        for _ in range(16):  # one frame per word
+            gateway.voqs.admit(0, gateway.cycle)
+        while gateway.voqs.total:
+            gateway.tick()
+        assert gateway.delivered_frames == 16
+        assert instr.tracer.traced_frames == 4  # tags 0, 4, 8, 12
+        assert [r["tag"] for r in instr.tracer.records()] == [0, 4, 8, 12]
 
     def test_ring_buffer_bounds_completed_records(self):
         tracer = FrameTracer(capacity=4, sample_every=1)
         for tag in range(10):
-            self._dispatch(tracer, tag)
-            tracer.record_delivery(tag, cycle=7)
+            tracer.record(self._trace(tag))
         assert len(tracer) == 4
         assert [r["tag"] for r in tracer.records()] == [6, 7, 8, 9]
-        assert tracer.completed_frames == 10
-
-    def test_pending_table_hard_capped(self):
-        tracer = FrameTracer(capacity=4, sample_every=1)
-        cap = tracer._pending_cap
-        for tag in range(cap + 5):  # never delivered
-            self._dispatch(tracer, tag)
-        assert len(tracer._pending) == cap
-        assert tracer.abandoned_frames == 5
-
-    def test_abandon_plane_drops_only_that_plane(self):
-        tracer = FrameTracer(sample_every=1)
-        self._dispatch(tracer, tag=0, plane=0)
-        self._dispatch(tracer, tag=1, plane=1)
-        tracer.abandon_plane(0)
-        assert tracer.abandoned_frames == 1
-        tracer.record_delivery(0, cycle=9)  # abandoned: ignored
-        tracer.record_delivery(1, cycle=9)
-        assert [r["tag"] for r in tracer.records()] == [1]
+        assert tracer.traced_frames == 10
 
     def test_snapshot_shape(self):
         tracer = FrameTracer(capacity=8, sample_every=2)
@@ -453,9 +452,6 @@ class TestFrameTracer:
             "capacity": 8,
             "sample_every": 2,
             "traced_frames": 0,
-            "completed_frames": 0,
-            "abandoned_frames": 0,
-            "pending": 0,
             "records": [],
         }
 
@@ -515,8 +511,13 @@ class TestGatewayInstrumentation:
         records = instr.tracer.records()
         assert records
         for record in records:
-            # A plane routes and delivers a frame in the cycle it takes it.
-            assert record["delivered_cycle"] == record["dispatched_cycle"]
+            # A plane routes and delivers a frame in the cycle it takes
+            # it: one stamp after the enqueue, and the frame's worst
+            # word waited from its enqueue to that cycle.
+            assert "dispatched_cycle" not in record
+            assert record["latency_cycles"] == (
+                record["delivered_cycle"] - record["enqueued_cycle"]
+            )
             assert record["mode"] == "clean"
 
     def test_metrics_off_gateway_has_no_observer(self):

@@ -47,11 +47,10 @@ class TestBasicOperation:
         m = 4
         pi = random_permutation(1 << m, rng=0).to_list()
         plane = _lone_plane(m)
-        plane.offer(_frame(pi, 7))
-        completed, stranded = plane.step()
+        completed, stranded = plane.step(_frame(pi, 7))
         assert [c.block.tag for c in completed] == [7]
         assert stranded == []
-        assert plane.in_flight == 0
+        assert plane.frames_delivered == 1
         obj = PipelinedBNBFabric(m)
         obj.offer_words(_words(pi, 7), tag=7)
         delivered = [[tag for tag, _ in obj.step()] for _ in range(m + 1)]
@@ -75,29 +74,30 @@ class TestBasicOperation:
         plane = _lone_plane(m)
         delivered = 0
         for k in range(40):
-            plane.offer(_frame(random_permutation(1 << m, rng=k).to_list(), k))
-            delivered += len(plane.step()[0])
-        while plane.in_flight:
-            delivered += len(plane.step()[0])
+            frame = _frame(random_permutation(1 << m, rng=k).to_list(), k)
+            delivered += len(plane.step(frame)[0])
         assert delivered == plane.frames_delivered == 40
         # One kernel call per frame: one frame per cycle.
         assert plane.batches_routed == 40
 
     def test_bubbles_pass_through(self):
+        """A bubble is a cycle with no call: the plane keeps nothing of
+        one frame for the next, however many bubbles come between."""
         plane = _lone_plane(2)
-        plane.offer(_frame([1, 0, 3, 2], 0))
-        plane.step()
-        for _ in range(5):  # bubbles must not disturb the delivered frame
-            assert plane.step() == ([], [])
-        assert plane.frames_delivered == 1
+        first, second = _frame([1, 0, 3, 2], 0), _frame([2, 3, 0, 1], 6)
+        assert [c.block for c in plane.step(first)[0]] == [first]
+        # bubbles (cycles 1..5) must not disturb the next frame
+        assert [c.block for c in plane.step(second)[0]] == [second]
+        assert plane.frames_delivered == plane.batches_routed == 2
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_object_engine_cycle_for_cycle(self, m):
-        """Identical offer/step schedules deliver the same frames, each
-        on the plane exactly m steps before the object pipeline (its
-        fill), and arranged as the object pipeline arranges it."""
+        """Identical schedules deliver the same frames, each on the
+        plane exactly m steps before the object pipeline (its fill),
+        and arranged as the object pipeline arranges it; a bubble is a
+        cycle with no frame, where the plane is not called."""
         n = 1 << m
         obj = PipelinedBNBFabric(m)
         plane = _lone_plane(m)
@@ -109,10 +109,9 @@ class TestEquivalence:
                 pi = random_permutation(n, rng=k).to_list()
                 frames[k] = pi
                 obj.offer_words(_words(pi, k), tag=k)
-                plane.offer(_frame(pi, k))
+                done_plane, _ = plane.step(_frame(pi, k))
+                on_plane.update((c.block.tag, k) for c in done_plane)
             done_obj = obj.step()
-            done_plane, _ = plane.step()
-            on_plane.update((c.block.tag, k) for c in done_plane)
             for tag, outputs in done_obj:
                 assert on_plane[tag] == k - m
                 pi = frames[tag]

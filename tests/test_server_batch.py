@@ -188,7 +188,7 @@ class TestBatchEngine:
 
         described = run_async(scenario())
         assert described["backend"] == "bnb"
-        assert described["in_flight"] == 0
+        assert "in_flight" not in described
         assert described["batch_window"] == 16
         assert described["frames_delivered"] == 32
         # The window amortized: far fewer kernel calls than frames.

@@ -17,6 +17,7 @@ from repro.exceptions import (
     InputError,
 )
 from repro.faults import SwitchCoordinate, fault_mask_for
+from repro.obs import GatewayInstrumentation, Registry
 from repro.server import (
     AsyncGateway,
     BackendPlane,
@@ -115,34 +116,28 @@ class TestBasics:
                 return gateway.stats()["planes"][0]
 
         def shape(plane):
-            assert "depth" not in plane  # planes hold nothing
-            return (
-                plane["kind"],
-                plane["backend"],
-                plane["batch_window"],
-                plane["in_flight"],
-            )
+            # Planes hold nothing, so they report no depth or occupancy.
+            assert "depth" not in plane and "in_flight" not in plane
+            return (plane["kind"], plane["backend"], plane["batch_window"])
 
         # The backend follows from the engine alone; every plane routes
         # a window and holds no frame between cycles.
         assert shape(run_async(scenario("bnb-object"))) == (
-            "BackendPlane", "bnb-object", 32, 0,
+            "BackendPlane", "bnb-object", 32,
         )
-        assert shape(run_async(scenario("bnb"))) == (
-            "BackendPlane", "bnb", 32, 0,
-        )
+        assert shape(run_async(scenario("bnb"))) == ("BackendPlane", "bnb", 32)
         assert shape(run_async(scenario("batch"))) == (
-            "BackendPlane", "bnb", 32, 0,
+            "BackendPlane", "bnb", 32,
         )
         assert shape(run_async(scenario("krbenes"))) == (
-            "BackendPlane", "krbenes", 32, 0,
+            "BackendPlane", "krbenes", 32,
         )
         # A resilient plane is the same plane carrying a fault policy.
         assert shape(run_async(scenario("bnb", resilient=True))) == (
-            "BackendPlane", "bnb", 32, 0,
+            "BackendPlane", "bnb", 32,
         )
         plane = run_async(scenario("batch", resilient=True))
-        assert shape(plane) == ("BackendPlane", "bnb", 32, 0)
+        assert shape(plane) == ("BackendPlane", "bnb", 32)
         assert plane["service_state"] == "healthy"
 
 
@@ -280,7 +275,8 @@ class TestConcurrentDelivery:
     def test_no_plane_holds_a_frame_between_cycles(self, run_async, engine):
         """Every engine routes what a plane takes in the cycle it takes
         it: after every tick of a tenanted gateway under backpressure,
-        with retries, no plane holds a frame."""
+        with retries, every frame the scheduler built has been
+        delivered, so no plane holds a frame."""
 
         async def scenario():
             config = GatewayConfig(
@@ -293,7 +289,10 @@ class TestConcurrentDelivery:
 
             def checked_tick():
                 tick()
-                held.append([plane.in_flight for plane in gateway.planes])
+                held.append(
+                    gateway.scheduler.frames_scheduled
+                    - gateway.delivered_frames
+                )
 
             gateway.tick = checked_tick
             rng = random.Random(5)
@@ -318,7 +317,7 @@ class TestConcurrentDelivery:
             return held, stats
 
         held, stats = run_async(scenario())
-        assert held and all(frames == [0, 0] for frames in held)
+        assert held and all(frames == 0 for frames in held)
         assert stats["delivered_words"] == 140
         assert stats["queues"]["rejected"] > 0  # the retries were needed
 
@@ -381,19 +380,19 @@ class TestBackpressure:
 
 class _KillOnDispatch:
     """A gateway observer that kills plane 0 through the operator API
-    inside the cycle of its *nth* dispatch: after the plane takes its
-    block and before it routes it, the only time a plane holds words."""
+    inside the cycle of its *nth* dispatch: after the gateway pops the
+    plane's block and before the plane routes it, so the block comes
+    back stranded."""
 
     def __init__(self, gateway, nth):
         self.gateway = gateway
         self.nth = nth
-        self.stranded = None
 
     def on_dispatch(self, block, plane, cycle):
         if plane.plane_id == 0:
             self.nth -= 1
             if self.nth == 0:
-                self.stranded = self.gateway.kill_plane(0, reason="test kill")
+                self.gateway.kill_plane(0, reason="test kill")
 
     def on_reject(self, hints):
         pass
@@ -446,13 +445,51 @@ class TestPlaneFailure:
         assert gateway.voqs.requeued == 2
         assert gateway.voqs.drain_all()[:, OWNER].tolist() == [101, 102, 103]
 
+    def test_kill_inside_a_tick_is_reported_once(self):
+        """An observer that kills plane 0 from ``on_dispatch`` sees one
+        kill, not two: ``kill_plane`` reports it and the tick does not
+        report it again.  The 8 words the gateway handed the plane
+        requeue and ride plane 1 in the next cycle."""
+        gateway = AsyncGateway(GatewayConfig(m=3, planes=2))
+        instrumentation = GatewayInstrumentation(
+            gateway, registry=Registry()
+        ).attach()
+        on_dispatch = instrumentation.on_dispatch
+        on_plane_killed = instrumentation.on_plane_killed
+        taken, kills = [], []
+
+        def killing_dispatch(block, plane, cycle):
+            on_dispatch(block, plane, cycle)
+            if plane.plane_id == 0 and plane.healthy:
+                taken.append(block.size)
+                gateway.kill_plane(0, reason="killed from a hook")
+
+        def counted_kill(plane):
+            kills.append(plane.plane_id)
+            on_plane_killed(plane)
+
+        instrumentation.on_dispatch = killing_dispatch
+        instrumentation.on_plane_killed = counted_kill
+        for destination in range(8):
+            gateway.voqs.admit(destination, gateway.cycle)
+        gateway.tick()
+        gateway.tick()
+        text = instrumentation.render_prometheus()
+        assert kills == [0]
+        assert 'repro_gateway_plane_kills_total{plane="0"} 1' in text
+        assert taken == [8]
+        assert gateway.voqs.requeued == 8
+        assert "repro_gateway_requeued_words_total 8" in text
+        assert gateway.delivered_words == gateway.planes[1].words_delivered == 8
+        assert gateway.voqs.total == 0
+
     def test_operator_kill_mid_run_keeps_delivery_total(self, run_async):
         async def scenario():
             config = GatewayConfig(m=3, planes=2, queue_capacity=16)
             rng = random.Random(11)
             async with AsyncGateway(config) as gateway:
                 # Let traffic get airborne, then kill a plane under it.
-                killer = gateway.observer = _KillOnDispatch(gateway, nth=3)
+                gateway.observer = _KillOnDispatch(gateway, nth=3)
                 receipts = await asyncio.gather(
                     *(
                         gateway.send_with_retry(
@@ -462,15 +499,15 @@ class TestPlaneFailure:
                     )
                 )
                 stats = gateway.stats()
-            return killer.stranded, receipts, stats
+            return receipts, stats
 
-        stranded, receipts, stats = run_async(scenario())
+        receipts, stats = run_async(scenario())
         assert all(
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
-        # The dead plane carried words; they were requeued, not dropped.
-        assert stranded > 0
-        assert stats["queues"]["requeued"] >= stranded
+        # The dead plane was handed words; they were requeued, not
+        # dropped.
+        assert stats["queues"]["requeued"] > 0
         healthy = [plane["healthy"] for plane in stats["planes"]]
         assert healthy == [False, True]
         # Everything after the kill rode the surviving plane.

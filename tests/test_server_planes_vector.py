@@ -1,8 +1,8 @@
 """The one serving plane: windows, total verification, containment.
 
-:class:`~repro.server.BackendPlane` routes what it was offered in the
-cycle it takes it, one frame per cycle or a window of frames (the
-``plane_shape`` fixture).  Either way every routed frame is verified in
+:class:`~repro.server.BackendPlane` routes the block it is handed in
+the call that hands it over, one frame per cycle or a window of frames
+(the ``plane_shape`` fixture).  Either way every routed frame is verified in
 full, so a single misplaced word on any frame kills the plane and its
 words requeue onto the survivors.
 """
@@ -35,12 +35,14 @@ def plane_shape(request):
     return lambda m: {"batch_window": 8}
 
 
-def _full_frame(scheduler, voqs, n, cycle=1):
-    """A one-frame block carrying a word for every destination."""
-    for destination in range(n):
-        voqs.admit(destination, 0)
-    block = scheduler.next_frame(voqs, cycle)
-    assert block is not None and block.k == 1 and block.size == n
+def _full_frames(scheduler, voqs, n, frames=1):
+    """A block of *frames* frames, each carrying a word for every
+    destination."""
+    for _ in range(frames):
+        for destination in range(n):
+            voqs.admit(destination, 0)
+    block = scheduler.next_frame(voqs, frames)
+    assert block is not None and block.k == frames and block.size == frames * n
     return block
 
 
@@ -80,45 +82,44 @@ class TestBackendPlane:
             BackendPlane(0, 3, batch_window=0)
         with pytest.raises(TypeError):
             BackendPlane(0, 3, depth=3)  # planes hold nothing
+        # A block wider than the window is refused, not truncated.
+        block = _full_frames(FrameScheduler(8), VirtualOutputQueues(8, 4), 8, 2)
+        with pytest.raises(ValueError, match="cannot take 2 frame"):
+            BackendPlane(0, 3, batch_window=1).step(block)
 
     def test_windowed_shape_routes_a_window_per_step(self):
         m, n = 3, 8
         plane = BackendPlane(0, m, batch_window=8)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
-        for cycle in range(5):
-            plane.offer(_full_frame(scheduler, voqs, n, cycle=cycle))
-        completed, requeue = plane.step()
-        assert [c.block.tag for c in completed] == [0, 1, 2, 3, 4]
+        block = _full_frames(scheduler, voqs, n, frames=5)
+        completed, requeue = plane.step(block)
+        assert [(c.block.tag, c.block.k) for c in completed] == [(0, 5)]
         assert not requeue
         assert plane.batches_routed == 1
-        assert plane.in_flight == 0
+        assert plane.frames_delivered == 5
         assert plane.words_delivered == 5 * n
         info = plane.describe()
-        assert (info["kind"], info["backend"], info["in_flight"]) == (
-            "BackendPlane",
-            "bnb",
-            0,
-        )
-        assert "depth" not in info
+        assert (info["kind"], info["backend"]) == ("BackendPlane", "bnb")
+        assert "depth" not in info and "in_flight" not in info
 
     def test_kill_strands_offered_frames(self):
+        """A dead plane hands back the block it is given, and a kill is
+        idempotent."""
         m, n = 3, 8
         plane = BackendPlane(0, m, batch_window=4)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
-        plane.offer(_full_frame(scheduler, voqs, n, cycle=0))
-        plane.step()  # routed and released in the same step
-        assert plane.in_flight == 0 and plane.frames_delivered == 1
-        for cycle in (1, 2):
-            plane.offer(_full_frame(scheduler, voqs, n, cycle=cycle))
-        assert plane.in_flight == 2
-        stranded = plane.kill(reason="test")
-        assert [block.tag for block in stranded] == [1, 2]  # oldest first
-        assert sum(block.size for block in stranded) == 2 * n
-        assert plane.in_flight == 0 and plane.free == 0
-        assert plane.step() == ([], [])
-        assert plane.kill() == []  # idempotent
+        # Routed and released in the same step.
+        completed, stranded = plane.step(_full_frames(scheduler, voqs, n))
+        assert len(completed) == 1 and stranded == []
+        assert plane.frames_delivered == 1
+        assert plane.kill(reason="test") is None
+        block = _full_frames(scheduler, voqs, n, frames=2)
+        assert plane.step(block) == ([], [block])
+        assert (plane.frames_delivered, plane.batches_routed) == (1, 1)
+        plane.kill(reason="again")  # idempotent: the first reason stays
+        assert (plane.healthy, plane.failure) == (False, "test")
 
     def test_one_wrong_word_kills_the_plane(self, plane_shape):
         m, n = 3, 8
@@ -127,24 +128,23 @@ class TestBackendPlane:
         )
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
-        frames = [_full_frame(scheduler, voqs, n, cycle=c) for c in (1, 2)]
-        steps = []
-        for frame in frames:
-            plane.offer(frame)
-            if plane.batch_window == 1:  # one frame per cycle
-                steps.append(plane.step())
-        if plane.batch_window > 1:  # both frames in one window
-            steps.append(plane.step())
+        if plane.batch_window == 1:  # one frame per cycle
+            blocks = [_full_frames(scheduler, voqs, n) for _ in range(2)]
+        else:  # both frames in one window
+            blocks = [_full_frames(scheduler, voqs, n, frames=2)]
+        steps = [plane.step(block) for block in blocks]
         assert plane.healthy is False
         assert "misdelivered" in plane.failure
         assert f"outputs [{n - 1}]" in plane.failure
-        # The bad frame's words requeue, with everything offered in
+        # The bad frame's words requeue, with everything handed over in
         # its cycle; a frame routed in an earlier cycle was delivered.
         *earlier, (completed, requeue) = steps
         assert not completed
         delivered = [c.block for done, _requeue in earlier for c in done]
-        assert delivered + requeue == frames
-        assert len(requeue) == (1 if plane.batch_window == 1 else 2)
+        assert delivered + requeue == blocks
+        assert sum(block.k for block in requeue) == (
+            1 if plane.batch_window == 1 else 2
+        )
 
 
 class _DeliveryLog:

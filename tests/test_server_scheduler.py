@@ -47,7 +47,7 @@ class TestFrameScheduler:
         n = 8
         voqs = fill_voqs(n, [3, 3, 6, 0, 6])
         scheduler = FrameScheduler(n)
-        block = scheduler.next_frame(voqs, cycle=1)
+        block = scheduler.next_frame(voqs)
         # One head per distinct destination: {3, 6, 0}.
         assert set(block.dests.tolist()) == {3, 6, 0}
         assert block.k == 1 and block.counts[0] == 3
@@ -66,8 +66,8 @@ class TestFrameScheduler:
         voqs = fill_voqs(n, [4, 4, 4])
         scheduler = FrameScheduler(n)
         seen = []
-        for cycle in range(3):
-            block = scheduler.next_frame(voqs, cycle=cycle)
+        for _ in range(3):
+            block = scheduler.next_frame(voqs)
             seen.append(int(block.words[0, OWNER]))
         assert seen == [0, 1, 2]
 
@@ -76,8 +76,8 @@ class TestFrameScheduler:
         requests = [4, 4, 4, 1, 6, 6, 0]
         voqs = fill_voqs(n, requests)
         scheduler = FrameScheduler(n)
-        one_by_one = [scheduler.next_frame(voqs, cycle=0) for _ in range(3)]
-        block = FrameScheduler(n).next_frame(fill_voqs(n, requests), 0, 8)
+        one_by_one = [scheduler.next_frame(voqs) for _ in range(3)]
+        block = FrameScheduler(n).next_frame(fill_voqs(n, requests), 8)
         assert block.k == 3 and block.tag == 0
         for j, frame in enumerate(one_by_one):
             assert frame.tag == j
@@ -88,17 +88,17 @@ class TestFrameScheduler:
     def test_idle_returns_none(self):
         voqs = VirtualOutputQueues(8, capacity=4)
         scheduler = FrameScheduler(8)
-        assert scheduler.next_frame(voqs, cycle=0) is None
+        assert scheduler.next_frame(voqs) is None
         assert scheduler.frames_scheduled == 0
 
     def test_fill_accounting(self):
         n = 4
         scheduler = FrameScheduler(n)
         voqs = fill_voqs(n, [0, 1, 2, 3])
-        full = scheduler.next_frame(voqs, cycle=0)
+        full = scheduler.next_frame(voqs)
         assert full.fills.tolist() == [1.0]
         voqs = fill_voqs(n, [2])
-        quarter = scheduler.next_frame(voqs, cycle=1)
+        quarter = scheduler.next_frame(voqs)
         assert quarter.fills[0] == pytest.approx(1 / 4)
         assert scheduler.mean_fill == pytest.approx((1.0 + 0.25) / 2)
         assert scheduler.words_scheduled == 5
@@ -108,7 +108,7 @@ class TestFrameScheduler:
     def test_filler_words_carry_no_payload(self):
         n = 8
         voqs = fill_voqs(n, [7])
-        block = FrameScheduler(n).next_frame(voqs, cycle=0)
+        block = FrameScheduler(n).next_frame(voqs)
         # One real word, on line 0; the idle lines carry no word.
         assert block.counts.tolist() == [1] and block.size == 1
         assert block.addresses[0, 0] == 7
@@ -120,6 +120,6 @@ class TestFrameScheduler:
         tags = []
         for cycle in range(5):
             voqs = fill_voqs(n, [cycle % n])
-            tags.append(scheduler.next_frame(voqs, cycle=cycle).tag)
+            tags.append(scheduler.next_frame(voqs).tag)
         assert tags == sorted(tags)
         assert len(set(tags)) == 5

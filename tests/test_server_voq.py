@@ -182,11 +182,11 @@ class TestBlockFrames:
         for dest, owner in ((0, 1), (1, 2), (0, 3), (2, 4), (0, 5), (3, 6)):
             admit(voqs, dest, owner=owner)
         block = voqs.pop_heads(3)
-        block.tag, block.scheduled_cycle = 40, 9
+        block.tag = 40
         for j in range(block.k):
             frame = block.frame(j)
             rows = block.frame_slice(j)
-            assert (frame.tag, frame.scheduled_cycle, frame.k) == (40 + j, 9, 1)
+            assert (frame.tag, frame.k) == (40 + j, 1)
             assert frame.addresses.tolist() == block.addresses[j : j + 1].tolist()
             assert frame.counts.tolist() == [block.counts[j]]
             assert frame.full == (block.counts[j] == 4)

@@ -173,7 +173,7 @@ class VOQModel(RuleBasedStateMachine):
     # than frames + 1, the most the tenant pick's memo key keeps.
     @rule(frames=st.integers(1, 10))
     def pop(self, frames):
-        block = self.scheduler.next_frame(self.voqs, self.cycle, frames)
+        block = self.scheduler.next_frame(self.voqs, frames)
         expected = []
         while len(expected) < frames and any(self.ref.depth(d) for d in range(self.voqs.n)):
             expected.append(self.ref.frame())

@@ -340,7 +340,7 @@ class TestResilientPlane:
         scheduler = FrameScheduler(n)
         blocks = []
         while voqs.total:
-            blocks.append(scheduler.next_frame(voqs, 0, window))
+            blocks.append(scheduler.next_frame(voqs, window))
         return blocks
 
     def test_windowed_plane_matches_the_oracle_frame_by_frame(self):
@@ -357,8 +357,7 @@ class TestResilientPlane:
         plane = BackendPlane(0, m, "bnb", batch_window=4, policy=policy)
         plane_modes, oracle_modes, split = {}, {}, 0
         for block in self._blocks(m, 12, 4):
-            plane.offer(block)
-            completed, stranded = plane.step()
+            completed, stranded = plane.step(block)
             assert stranded == []
             split += len(completed) > 1
             for completion in completed:
@@ -409,8 +408,7 @@ class TestResilientPlane:
             np.repeat(np.arange(2), 8),
             addresses.reshape(-1),
         )
-        plane.offer(block)
-        completed, stranded = plane.step()
+        completed, stranded = plane.step(block)
         assert completed == []
         assert stranded == [block]
         assert not plane.healthy

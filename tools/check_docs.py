@@ -1,6 +1,6 @@
 """Consistency checks for the documentation set.
 
-Four classes of drift this catches, each of which has actually
+Five classes of drift this catches, each of which has actually
 happened to projects this size:
 
 1. **Dead cross-links** — every relative markdown link in the docs
@@ -16,6 +16,11 @@ happened to projects this size:
 4. **Phantom subcommands** — every ``repro <sub>`` / ``python -m repro
    <sub>`` in a fenced code block or inline code span must name a real
    subparser.
+5. **Metric catalog drift** — every ``repro_*`` name in the first
+   column of docs/observability.md's catalog tables must be a metric
+   that ``GatewayInstrumentation`` registers on a tenanted gateway,
+   and every metric it registers must have a row.  Names are written
+   in full, one per backquoted span.
 
 Invocations are recognised only where ``repro`` appears as a *command*
 (the word followed by whitespace) — module paths like ``repro.core``
@@ -54,6 +59,11 @@ _COMMAND_RE = re.compile(r"(?:python -m )?\brepro\s+(.*)$")
 #: (``PYTHONPATH=src python -m repro ...``) — stripped before matching,
 #: so env-prefixed invocations are validated, not skipped.
 _ENV_RE = re.compile(r"^(?:[A-Za-z_][A-Za-z0-9_]*=\S+\s+)+")
+#: The document whose tables are the metric catalog.
+METRIC_CATALOG = pathlib.Path("docs") / "observability.md"
+#: The first cell of a markdown table row.
+_FIRST_CELL_RE = re.compile(r"^\|([^|]*)\|", re.M)
+_METRIC_RE = re.compile(r"`(repro_\w+)`")
 
 
 def doc_paths(repo_root: pathlib.Path) -> List[pathlib.Path]:
@@ -216,6 +226,45 @@ def check_cli(repo_root: pathlib.Path) -> List[str]:
     return errors
 
 
+# ----------------------------------------------------------------------
+# 5. The metric catalog vs the registered metrics
+# ----------------------------------------------------------------------
+def catalog_metrics(text: str) -> Set[str]:
+    """The ``repro_*`` names in the first column of *text*'s table
+    rows."""
+    return {
+        name
+        for cell in _FIRST_CELL_RE.findall(text)
+        for name in _METRIC_RE.findall(cell)
+    }
+
+
+def registered_metrics() -> Set[str]:
+    """Every metric ``GatewayInstrumentation`` registers on a tenanted
+    gateway."""
+    from repro.obs import GatewayInstrumentation, Registry
+    from repro.server import AsyncGateway, GatewayConfig
+
+    registry = Registry()
+    gateway = AsyncGateway(GatewayConfig(m=2, tenants={"gold": 2, "bronze": 1}))
+    GatewayInstrumentation(gateway, registry=registry)
+    return set(registry.names())
+
+
+def check_metrics(repo_root: pathlib.Path) -> List[str]:
+    path = repo_root / METRIC_CATALOG
+    documented = catalog_metrics(path.read_text()) if path.is_file() else set()
+    registered = registered_metrics()
+    return [
+        f"{METRIC_CATALOG}: catalog row for {name}, which "
+        f"GatewayInstrumentation does not register"
+        for name in sorted(documented - registered)
+    ] + [
+        f"{METRIC_CATALOG}: registered metric {name} has no catalog row"
+        for name in sorted(registered - documented)
+    ]
+
+
 def main(argv: List[str]) -> int:
     repo_root = pathlib.Path(
         argv[1] if len(argv) > 1 else pathlib.Path(__file__).parent.parent
@@ -224,13 +273,18 @@ def main(argv: List[str]) -> int:
     if not paths:
         print(f"error: no documentation found under {repo_root}")
         return 1
-    errors = check_links(repo_root) + check_cli(repo_root)
+    errors = (
+        check_links(repo_root) + check_cli(repo_root) + check_metrics(repo_root)
+    )
     if errors:
         print(f"{len(errors)} documentation problem(s):")
         for problem in errors:
             print(f"  - {problem}")
         return 1
-    print(f"{len(paths)} document(s) clean: links resolve, CLI surface matches")
+    print(
+        f"{len(paths)} document(s) clean: links resolve, CLI surface "
+        f"matches, metric catalog matches"
+    )
     return 0
 
 

@@ -92,12 +92,11 @@ async def _scenario(
         gateway, registry=Registry(), trace_sample_every=3
     ).attach()
     names = list(tenants) if tenants else [None]
-    killed = []
 
     async def kill():
         if kill_at is not None:
             await gateway.wait_cycles(kill_at)
-            killed.append(gateway.kill_plane(0, reason="differential kill"))
+            gateway.kill_plane(0, reason="differential kill")
 
     async def batch(dests, retry, tenant):
         await asyncio.sleep(0)
@@ -140,7 +139,6 @@ async def _scenario(
     ]
     split = 1 + len(first) + len(batches)
     return {
-        "killed": killed,
         "batches": results[1:split],
         "singles": results[split:],
         "stats": stats,
