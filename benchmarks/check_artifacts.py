@@ -135,6 +135,8 @@ def check_obs_overhead(data: Dict[str, Any], name: str, errors: List[str]) -> No
         "n",
         "engine",
         "offered_load",
+        "rounds",
+        "clock",
         "samples_per_side",
         "baseline_fill",
         "instrumented_fill",
@@ -142,9 +144,32 @@ def check_obs_overhead(data: Dict[str, Any], name: str, errors: List[str]) -> No
         "instrumented_median_cycle_seconds",
         "throughput_ratio",
         "overhead",
+        "overhead_q1",
+        "overhead_q3",
+        "overhead_iqr",
         "overhead_budget",
     ):
         _require(key in data, name, f"missing {key!r}", errors)
+    _require(
+        data.get("rounds", 0) >= 15,
+        name,
+        f"ran {data.get('rounds')!r} rounds (< 15 paired rounds)",
+        errors,
+    )
+    _require(
+        data.get("clock") == "thread_time",
+        name,
+        f"clock {data.get('clock')!r} is not thread CPU time",
+        errors,
+    )
+    if {"overhead_iqr", "overhead_budget"} <= data.keys():
+        _require(
+            data["overhead_iqr"] <= data["overhead_budget"],
+            name,
+            f"overhead IQR {data['overhead_iqr']} exceeds the budget "
+            f"{data['overhead_budget']}: too noisy to decide",
+            errors,
+        )
     for key in ("baseline_fill", "instrumented_fill"):
         if key in data:
             _require(

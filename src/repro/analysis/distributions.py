@@ -15,15 +15,15 @@ The activity analysis reports *means*; this module checks
   mean and variance over traffic, for comparing fabrics.
 
 These give the library a defensible statistical answer to "is the
-fabric biased?" rather than a shrug.
+fabric biased?" rather than a shrug.  Each test imports scipy when it
+runs, so importing :mod:`repro.analysis` (as the CLI does) never loads
+it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Dict, List, Tuple
-
-from scipy import stats
 
 from ..core.bnb import BNBNetwork
 from ..core.words import Word
@@ -59,6 +59,8 @@ def first_stage_control_bias(
     *samples* uniform random permutations and chi-square-tests the
     0/1 counts against 50/50.
     """
+    from scipy import stats
+
     network = BNBNetwork(m)
     ones = 0
     total = 0
@@ -83,6 +85,8 @@ def output_position_uniformity(
     Under uniform random permutations, the output line reached by the
     word entering *input_line* must be uniform over ``0..N-1``.
     """
+    from scipy import stats
+
     network = BNBNetwork(m)
     n = network.n
     counts = [0] * n
@@ -104,6 +108,8 @@ def exchange_count_dispersion(
     m: int, samples: int = 100, seed: int = 0
 ) -> Dict[str, float]:
     """Mean/variance of the per-pass exchange count on uniform traffic."""
+    from scipy import stats
+
     network = BNBNetwork(m)
     counts: List[int] = []
     for index in range(samples):

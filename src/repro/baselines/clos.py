@@ -23,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..core.words import Word
 from ..exceptions import ConfigurationError, NotAPermutationError, RoutingError
 from ..permutations.permutation import Permutation
@@ -106,6 +104,9 @@ class ClosNetwork:
             raise ValueError(
                 f"expected a permutation of {self.terminals} terminals"
             )
+        # networkx loads here, on first use, not when repro is imported.
+        import networkx as nx
+
         # Demand multigraph: one edge (ingress, egress) per word.
         remaining: List[Tuple[int, int, int]] = []  # (ingress, egress, source)
         for source in range(self.terminals):

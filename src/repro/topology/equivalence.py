@@ -6,7 +6,8 @@ another by relabeling lines, without changing which switch connects to
 which.  We formalize a network as a directed graph — terminals and
 switches as nodes, wires as edges — and test equivalence by graph
 isomorphism (networkx VF2), constrained so terminals map to terminals
-and switches to switches.
+and switches to switches.  networkx is imported by the two functions
+that use it, so importing :mod:`repro` (and serving) never loads it.
 
 This is quadratic-ish and meant for the small sizes the test suite
 uses; it documents and verifies the claim that the GBN underlying the
@@ -15,11 +16,12 @@ BNB network is "the" log-stage network in the same sense.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .multistage import MultistageNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["network_graph", "topologically_equivalent"]
 
@@ -34,6 +36,8 @@ def network_graph(network: MultistageNetwork) -> "nx.DiGraph":
     its ports, which is exactly the freedom topological equivalence
     allows.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     n = network.n
     for j in range(n):
@@ -74,6 +78,8 @@ def topologically_equivalent(
     switches to switches; this matches Wu & Feng's notion of redrawing
     a network by renaming lines.
     """
+    import networkx as nx
+
     if first.n != second.n or first.stage_count != second.stage_count:
         return False
     graph_a = network_graph(first)

@@ -1,10 +1,12 @@
 """The binary wire framing: round trips, hostile input, parity.
 
-Three layers of confidence:
+Four layers of confidence:
 
 * **Hypothesis round trips** — any op body of JSON-able metadata plus
   int64 arrays survives ``encode_frame`` → ``unpack_header`` →
   ``decode_body`` byte-for-byte.
+* **Encode identity** — the one-join encoder writes exactly the bytes
+  of the three-copy encoder it replaced, kept here as the reference.
 * **Hostile bytes** — truncated headers, oversize length fields,
   ragged payloads and garbage magic all land on the stable
   ``bad-request``/close behaviour, never a hang or a crash.
@@ -104,6 +106,117 @@ class TestRoundTrip:
         decoded = decode_body(header, frame[HEADER.size :])
         assert decoded["dests"].base is not None
         assert np.array_equal(decoded["dests"], payload)
+
+
+def _three_copy_encode(opcode, body, request_id=0, version=PROTOCOL_VERSION):
+    """The reference: 2.8.0's encoder, which copied each array with
+    ``tobytes``, joined the copies, then concatenated header, meta and
+    payload."""
+    meta, manifest, chunks = {}, {}, []
+    for key, value in body.items():
+        if isinstance(value, np.ndarray):
+            array = np.ascontiguousarray(value, dtype=np.dtype("<i8"))
+            manifest[key] = list(array.shape)
+            chunks.append(array.tobytes())
+        else:
+            meta[key] = value
+    if manifest:
+        meta["_arrays"] = manifest
+    meta_bytes = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(chunks)
+    if len(meta_bytes) + len(payload) > MAX_FRAME_BYTES:
+        raise WireFormatError(
+            f"frame body of {len(meta_bytes) + len(payload)} bytes exceeds "
+            f"the {MAX_FRAME_BYTES}-byte cap"
+        )
+    header = HEADER.pack(
+        MAGIC,
+        version[0],
+        version[1],
+        opcode,
+        request_id & 0xFFFFFFFF,
+        len(meta_bytes),
+        len(payload),
+    )
+    return header + meta_bytes + payload
+
+
+class TestEncodeIdentity:
+    """The one-join encoder writes the reference's bytes exactly."""
+
+    @staticmethod
+    def _same(body, **kwargs):
+        frame = encode_frame(6, body, **kwargs)
+        assert type(frame) is bytes
+        assert frame == _three_copy_encode(6, body, **kwargs)
+        return frame
+
+    @settings(max_examples=120, deadline=None)
+    @given(body=bodies, request_id=st.integers(0, 2**33))
+    def test_hypothesis_bodies(self, body, request_id):
+        self._same(body, request_id=request_id)
+
+    @pytest.mark.parametrize(
+        "shape", [(0,), (0, 1), (1, 0), (2, 3, 4), (3, 1, 2), (1,)]
+    )
+    def test_empty_and_multidimensional_shapes(self, shape):
+        size = int(np.prod(shape))
+        array = np.arange(size, dtype=np.int64).reshape(shape)
+        frame = self._same({"ok": True, "dests": array, "words": array + 7})
+        header = unpack_header(frame[: HEADER.size])
+        assert header.payload_len == 2 * 8 * size
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(12, dtype=np.int32),
+            np.arange(12, dtype=np.uint16).reshape(3, 4),
+            np.array([True, False, True]),
+            np.arange(-6, 6, dtype=">i8"),
+            np.arange(40, dtype=np.int64).reshape(5, 8)[:, ::3],
+            np.arange(24, dtype=np.int64).reshape(4, 6).T,
+            np.asfortranarray(np.arange(24, dtype=np.int64).reshape(2, 3, 4)),
+            np.arange(10, dtype=np.int64)[::-1],
+        ],
+        ids=[
+            "int32",
+            "uint16-2d",
+            "bool",
+            "big-endian",
+            "strided",
+            "transposed",
+            "fortran-3d",
+            "reversed",
+        ],
+    )
+    def test_converted_inputs(self, array):
+        frame = self._same({"dests": array, "echo": [1, 2]})
+        header = unpack_header(frame[: HEADER.size])
+        decoded = decode_body(header, frame[HEADER.size :])
+        assert np.array_equal(decoded["dests"], array.astype(np.int64))
+
+    def test_frame_cap_refused_at_the_same_size(self):
+        words = (MAX_FRAME_BYTES >> 3) - 8
+        dests = np.zeros(words, dtype=np.int64)
+
+        def body(pad: int) -> dict:
+            return {"pad": "x" * pad, "dests": dests}
+
+        unpadded = len(
+            json.dumps(
+                {"pad": "", "_arrays": {"dests": [words]}},
+                separators=(",", ":"),
+            )
+        )
+        at_cap = MAX_FRAME_BYTES - 8 * words - unpadded
+        frame = self._same(body(at_cap))
+        assert len(frame) == HEADER.size + MAX_FRAME_BYTES
+        messages = []
+        for encode in (encode_frame, _three_copy_encode):
+            with pytest.raises(WireFormatError, match="cap") as refused:
+                encode(6, body(at_cap + 1))
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
 
 
 class TestHostileBytes:
